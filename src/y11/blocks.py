@@ -87,7 +87,9 @@ class ConvBlock:
         y = conv2d(x, self.spec)
         if self.bn is not None:
             scale, shift = self.bn.scale_shift()
-            y = Tensor._wrap(y.data * scale[None, :, None, None] + shift[None, :, None, None])
+            z = y.data * scale[:, None, None]
+            z += shift[:, None, None]
+            y = Tensor._wrap(z)
         if self.act == "silu":
             y = silu(y)
         return y
@@ -188,10 +190,11 @@ class C2F:
         if self.c_hidden < 1:
             raise ValueError("hidden channel count must be positive")
         self.cv1 = ConvBlock.create(c1, 2 * self.c_hidden, k=1)
-        self.units: list[object] = [
-            Bottleneck(self.c_hidden, self.c_hidden, shortcut) for _ in range(n)
-        ]
+        self.units = [self._unit(shortcut) for _ in range(n)]
         self.cv2 = ConvBlock.create((2 + n) * self.c_hidden, c2, k=1)
+
+    def _unit(self, shortcut: bool) -> object:
+        return Bottleneck(self.c_hidden, self.c_hidden, shortcut)
 
     @property
     def out_channels(self) -> int:
@@ -279,9 +282,13 @@ class C3K2(C2F):
         e: float = 0.5,
         shortcut: bool = True,
     ) -> None:
+        self.c3k = c3k  # read by _unit while C2F.__init__ builds the units
         super().__init__(c1, c2, n, shortcut, e)
-        if c3k:
-            self.units = [C3K(self.c_hidden, self.c_hidden, 2, shortcut) for _ in range(n)]
+
+    def _unit(self, shortcut: bool) -> object:
+        if self.c3k:
+            return C3K(self.c_hidden, self.c_hidden, 2, shortcut)
+        return super()._unit(shortcut)
 
 
 class SPPF:

@@ -24,7 +24,7 @@ __all__ = [
 PAD_VALUE = 114.0 / 255.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LetterboxMeta:
     """Forward mapping original -> letterboxed: x' = x * scale + pad_left."""
 
@@ -35,7 +35,7 @@ class LetterboxMeta:
     orig_h: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One detected object; box is (x1, y1, x2, y2) in pixels."""
 

@@ -1,10 +1,13 @@
 """Dense NCHW tensors and the primitive kernels every network block is built from.
 
 Everything is 32-bit float and pure: kernels never mutate their inputs and
-always return freshly allocated tensors. Convolution runs as im2col plus one
-matrix multiply (with grouped and depthwise variants), but its semantics are
-pinned to direct zero-padded convolution; the test suite checks it against an
-independent naive implementation.
+always return freshly allocated tensors. Dense and grouped convolutions run as
+im2col plus one matrix multiply. Depthwise convolution, which has too little
+arithmetic per byte for a matrix multiply to pay, accumulates k*k shifted,
+strided slices of the padded input times one weight per channel. Max pooling
+is separable: a running maximum over k strided row slices, then over k strided
+column slices. Both are pinned to their direct definitions; the test suite
+checks them against independent naive implementations.
 """
 from __future__ import annotations
 
@@ -230,15 +233,14 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
         # Pointwise fast path: no window materialization needed.
         cols = np.ascontiguousarray(data[:, :, ::s, ::s]).reshape(n, x.c, oh * ow)
         out = np.matmul(w.reshape(c_out, x.c), cols)
+    elif g == x.c and c_out == x.c:
+        out = _depthwise(data, w[:, 0], s, oh, ow)
     else:
         win = _window_view(data, k, s)
         if g == 1:
             cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
             cols = cols.reshape(n, x.c * k * k, oh * ow)
             out = np.matmul(w.reshape(c_out, x.c * k * k), cols)
-        elif g == x.c and c_out == x.c:
-            # Depthwise: one small kernel per channel.
-            out = np.einsum("ncijkl,ckl->ncij", win, w[:, 0]).reshape(n, c_out, oh * ow)
         else:
             cpg, opg = x.c // g, c_out // g
             parts = []
@@ -250,10 +252,24 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
                 parts.append(np.matmul(wi, ci))
             out = np.concatenate(parts, axis=1)
 
+    # Every branch above allocates `out`, so the bias can go in place.
     out = out.reshape(n, c_out, oh, ow).astype(np.float32, copy=False)
     if spec.bias is not None:
-        out = out + spec.bias.reshape(1, c_out, 1, 1)
+        out += spec.bias.reshape(1, c_out, 1, 1)
     return Tensor._wrap(out)
+
+
+def _depthwise(data: np.ndarray, w: np.ndarray, s: int, oh: int, ow: int) -> np.ndarray:
+    # Depthwise conv over an already padded (N, C, H, W) array with per-channel
+    # kernels w of shape (C, k, k): one multiply-accumulate per tap, each over
+    # the strided slice of the input that tap sees.
+    k = w.shape[-1]
+    out = np.zeros((data.shape[0], data.shape[1], oh, ow), dtype=np.float32)
+    for ky in range(k):
+        for kx in range(k):
+            tap = data[:, :, ky : ky + (oh - 1) * s + 1 : s, kx : kx + (ow - 1) * s + 1 : s]
+            out += tap * w[:, ky, kx, None, None]
+    return out
 
 
 def fold_batchnorm(spec: ConvSpec, bn: BatchNormParams) -> ConvSpec:
@@ -282,13 +298,13 @@ def fold_batchnorm(spec: ConvSpec, bn: BatchNormParams) -> ConvSpec:
 
 
 def _sigmoid_array(a: np.ndarray) -> np.ndarray:
-    # Piecewise form never exponentiates a positive argument, so no overflow.
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+    # 1 / (1 + exp(-a)) in one fresh buffer. Where exp(-a) overflows to inf the
+    # reciprocal is exactly 0, the correct limit, so the overflow is silenced.
+    e = np.negative(a)
+    with np.errstate(over="ignore"):
+        np.exp(e, out=e)
+    e += 1
+    return np.reciprocal(e, out=e)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -298,7 +314,21 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def silu(x: Tensor) -> Tensor:
     """Elementwise x * sigmoid(x)."""
-    return Tensor._wrap(x.data * _sigmoid_array(x.data))
+    out = _sigmoid_array(x.data)
+    out *= x.data
+    return Tensor._wrap(out)
+
+
+def _max_taps(a: np.ndarray, axis: int, k: int, stride: int, n_out: int) -> np.ndarray:
+    # Running maximum over k adjacent strided slices along one axis: output i
+    # is the max of a[i*stride : i*stride + k] on that axis.
+    index = [slice(None)] * a.ndim
+    index[axis] = slice(0, (n_out - 1) * stride + 1, stride)
+    out = a[tuple(index)].copy()
+    for i in range(1, k):
+        index[axis] = slice(i, i + (n_out - 1) * stride + 1, stride)
+        np.maximum(out, a[tuple(index)], out=out)
+    return out
 
 
 def maxpool2d(x: Tensor, k: int, stride: int, padding: int) -> Tensor:
@@ -320,9 +350,9 @@ def maxpool2d(x: Tensor, k: int, stride: int, padding: int) -> Tensor:
             ((0, 0), (0, 0), (padding, padding), (padding, padding)),
             constant_values=np.float32(-np.inf),
         )
-    win = np.lib.stride_tricks.sliding_window_view(data, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    return Tensor._wrap(win.max(axis=(4, 5)))
+    # Separable: reduce each window's k rows first, then its k columns.
+    rows = _max_taps(data, 2, k, stride, oh)
+    return Tensor._wrap(_max_taps(rows, 3, k, stride, ow))
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:

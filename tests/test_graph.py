@@ -75,6 +75,23 @@ class TestBuild:
         assert not any(isinstance(u, C3K) for u in n_units)
         assert all(isinstance(u, C3K) for u in m_units)
 
+    # SHA-256 over the "name:shape" lines of state_entries(), in order. Weight
+    # files are written and read in this layout, so it must not drift.
+    STATE_LAYOUT_DIGESTS = {
+        "n": "b48911b114e4d7030537b994551eca8ea09400a70fd8f68bdf6fb6c260126c56",
+        "s": "caca146f539fb0c1cc55a868c0f6dcc4e06e2ce68ce81954e03a65ba285653fe",
+        "m": "f729be495b039d8d807451c5c76d461ffafd26aec328284e9920e7ea3669bf74",
+        "l": "5d70b7341ac9a2e1aeb5246f64ab483e2cc6f783d654704808dc034ffbe6c3b8",
+        "x": "926f0d472e5a6388b2bab6164b3c29e39a45c2f05e7abe56db094ff7158009b4",
+    }
+
+    @pytest.mark.parametrize("variant", sorted(STATE_LAYOUT_DIGESTS))
+    def test_state_layout_pinned(self, variant):
+        entries = build_graph(variant).state_entries()
+        layout = "".join(f"{name}:{tuple(arr.shape)}\n" for name, arr in entries)
+        digest = hashlib.sha256(layout.encode()).hexdigest()
+        assert digest == self.STATE_LAYOUT_DIGESTS[variant]
+
     def test_dag_validation(self):
         from y11.graph import LayerSpec
 

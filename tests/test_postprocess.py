@@ -162,6 +162,24 @@ class TestNMS:
                     assert iou(a.box, b.box) <= 0.45
 
 
+class TestRecords:
+    def test_detection_slotted_frozen_hashable(self):
+        a = Detection(2, 0.5, (1.0, 2.0, 3.0, 4.0))
+        b = Detection(2, 0.5, (1.0, 2.0, 3.0, 4.0))
+        assert not hasattr(a, "__dict__")
+        with pytest.raises(AttributeError):
+            a.score = 0.9
+        assert a == b and hash(a) == hash(b)
+        assert a != Detection(2, 0.6, a.box)
+        assert len({a, b}) == 1
+
+    def test_letterbox_meta_slotted_frozen(self):
+        meta = LetterboxMeta(0.5, 0, 80, 1280, 960)
+        assert not hasattr(meta, "__dict__")
+        with pytest.raises(AttributeError):
+            meta.scale = 1.0
+
+
 class TestUnletterbox:
     def test_identity_meta(self):
         meta = LetterboxMeta(1.0, 0, 0, 100, 100)

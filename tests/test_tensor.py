@@ -1,11 +1,13 @@
 """Tensor type and primitive kernels against hand values and naive oracles."""
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tensor
-from oracle_helpers import conv2d_direct
+from oracle_helpers import conv2d_direct, maxpool2d_direct
 from y11.tensor import (
     BatchNormParams,
     ConvSpec,
@@ -123,6 +125,21 @@ class TestConv2d:
         want = conv2d_direct(x, weight, None, 1, 1, c)
         assert np.max(np.abs(got - want)) < 1e-5
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_depthwise_strided_batched_matches_oracle(self, k, stride, with_bias):
+        rng = np.random.default_rng(10 * k + 2 * stride + with_bias)
+        c = 5
+        weight = rng.uniform(-1, 1, (c, 1, k, k)).astype(np.float32)
+        bias = rng.uniform(-1, 1, c).astype(np.float32) if with_bias else None
+        x = rng.uniform(-1, 1, (2, c, 7, 10)).astype(np.float32)
+        spec = ConvSpec(c, c, k, stride=stride, groups=c, weight=weight, bias=bias)
+        got = conv2d(Tensor(x), spec).data
+        want = conv2d_direct(x, weight, bias, stride, k // 2, c)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-5
+
     @settings(max_examples=60, deadline=None)
     @given(
         h=st.integers(1, 24),
@@ -235,6 +252,35 @@ class TestActivations:
         xs = np.linspace(-10, 10, 20001, dtype=np.float32).reshape(1, 1, 1, -1)
         assert silu(Tensor(xs)).data.min() >= -0.2785
 
+    def test_against_float64_reference(self):
+        # Below -87 the exact value leaves float32's normal range, so relative
+        # error is only meaningful on [-87, 87].
+        xs = np.linspace(-87, 87, 400001, dtype=np.float32)
+        ref = 1.0 / (1.0 + np.exp(-xs.astype(np.float64)))
+        x = Tensor(xs.reshape(1, 1, 1, -1))
+        s = sigmoid(x).data.ravel().astype(np.float64)
+        z = silu(x).data.ravel().astype(np.float64)
+        assert np.all(np.abs(s - ref) <= 1e-6 * ref)
+        silu_ref = xs * ref
+        assert np.all(np.abs(z - silu_ref) <= 1e-6 * np.abs(silu_ref))
+
+    def test_saturation_exact_and_warning_free(self):
+        # exp(1e9) overflows float32; the result must still be exact and quiet.
+        x = Tensor(np.array([[[[1e9, -1e9, np.inf, -np.inf]]]], dtype=np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = sigmoid(x).data.ravel()
+            z = silu(Tensor(x.data[..., :2])).data.ravel()
+        assert list(s) == [1.0, 0.0, 1.0, 0.0]
+        assert z[0] == np.float32(1e9) and z[1] == 0.0
+
+    def test_nan_propagates(self):
+        x = Tensor(np.array([[[[np.nan, 0.0, np.nan]]]], dtype=np.float32))
+        s = sigmoid(x).data.ravel()
+        z = silu(x).data.ravel()
+        assert np.isnan(s[[0, 2]]).all() and s[1] == 0.5
+        assert np.isnan(z[[0, 2]]).all() and z[1] == 0.0
+
 
 class TestMaxpool:
     def test_hand_max(self):
@@ -261,6 +307,33 @@ class TestMaxpool:
     def test_nonpositive_output(self):
         with pytest.raises(ValueError, match="output"):
             maxpool2d(Tensor.zeros(1, 1, 2, 2), 3, 1, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(1, 7),
+        stride=st.integers(1, 3),
+        n=st.integers(1, 2),
+        c=st.integers(1, 3),
+        h=st.integers(1, 11),
+        w=st.integers(1, 11),
+        negative=st.booleans(),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_matches_window_scan_oracle_bitwise(
+        self, k, stride, n, c, h, w, negative, seed, data
+    ):
+        padding = data.draw(st.integers(0, k // 2))
+        assume(conv_output_dim(h, k, stride, padding) > 0)
+        assume(conv_output_dim(w, k, stride, padding) > 0)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        if negative:
+            x = -np.abs(x) - 1.0
+        got = maxpool2d(Tensor(x), k, stride, padding).data
+        want = maxpool2d_direct(x, k, stride, padding)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestUpsampleConcat:
