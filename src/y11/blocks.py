@@ -16,6 +16,7 @@ from .tensor import (
     Tensor,
     concat_channels,
     conv2d,
+    conv_output_dim,
     maxpool2d,
     silu,
     softmax_lastaxis,
@@ -121,19 +122,19 @@ class ConvBlock:
         elif name == "bias":
             self.spec.bias = value
         else:
-            setattr(self.bn, {"gamma": "gamma", "beta": "beta", "mean": "mean", "var": "var"}[name], value)
+            setattr(self.bn, name, value)
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
         s = self.spec
         return (
-            (h + 2 * s.padding - s.kernel) // s.stride + 1,
-            (w + 2 * s.padding - s.kernel) // s.stride + 1,
+            conv_output_dim(h, s.kernel, s.stride, s.padding),
+            conv_output_dim(w, s.kernel, s.stride, s.padding),
         )
 
     def flops(self, h: int, w: int) -> float:
         oh, ow = self.out_hw(h, w)
         out_elems = self.out_channels * oh * ow
-        f = 2.0 * self.spec.weight_count * oh * ow
+        f = 2.0 * self.spec.weight.size * oh * ow
         if self.spec.bias is not None:
             f += out_elems
         if self.bn is not None:

@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 
 class UsageError(Exception):
@@ -79,40 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
-
-
-@dataclass
-class PhaseStats:
-    mean: float
-    std: float
-    min: float
-    max: float
-
-
-@dataclass
-class TimingReport:
-    """Per-phase latency statistics in milliseconds over `runs` samples."""
-
-    device: str
-    resolution: int
-    runs: int
-    phases: dict[str, PhaseStats]
-
-    def to_dict(self) -> dict:
-        return {
-            "device": self.device,
-            "resolution": self.resolution,
-            "runs": self.runs,
-            "phases": {
-                name: {
-                    "mean_ms": round(s.mean, 3),
-                    "std_ms": round(s.std, 3),
-                    "min_ms": round(s.min, 3),
-                    "max_ms": round(s.max, 3),
-                }
-                for name, s in self.phases.items()
-            },
-        }
 
 
 def _build_model(args, num_classes: int = 80):
@@ -303,28 +268,36 @@ def cmd_bench(args) -> int:
             for phase, ms in times.items():
                 samples[phase].append(ms)
 
-    report = TimingReport(
-        device="CPU",
-        resolution=args.size,
-        runs=args.runs,
-        phases={
-            phase: PhaseStats(
-                mean=float(np.mean(vals)),
-                std=float(np.std(vals)),
-                min=float(np.min(vals)),
-                max=float(np.max(vals)),
-            )
-            for phase, vals in samples.items()
-        },
-    )
+    # Per-phase latency statistics in milliseconds over the timed runs.
+    phases = {
+        phase: {
+            "mean_ms": float(np.mean(vals)),
+            "std_ms": float(np.std(vals)),
+            "min_ms": float(np.min(vals)),
+            "max_ms": float(np.max(vals)),
+        }
+        for phase, vals in samples.items()
+    }
     if args.format == "json":
-        print(json.dumps({"schema": "y11.bench/1", "variant": args.variant, **report.to_dict()}))
+        record = {
+            "schema": "y11.bench/1",
+            "variant": args.variant,
+            "device": "CPU",
+            "resolution": args.size,
+            "runs": args.runs,
+            "phases": {
+                phase: {key: round(v, 3) for key, v in stats.items()}
+                for phase, stats in phases.items()
+            },
+        }
+        print(json.dumps(record))
     else:
-        print(f"variant {args.variant} @ {args.size}x{args.size}, device {report.device}, "
-              f"{report.runs} runs (+{args.warmup} warmup)")
+        print(f"variant {args.variant} @ {args.size}x{args.size}, device CPU, "
+              f"{args.runs} runs (+{args.warmup} warmup)")
         print(f"{'phase':<12} {'mean ms':>10} {'std':>8} {'min':>10} {'max':>10}")
-        for phase, s in report.phases.items():
-            print(f"{phase:<12} {s.mean:>10.2f} {s.std:>8.2f} {s.min:>10.2f} {s.max:>10.2f}")
+        for phase, s in phases.items():
+            print(f"{phase:<12} {s['mean_ms']:>10.2f} {s['std_ms']:>8.2f} "
+                  f"{s['min_ms']:>10.2f} {s['max_ms']:>10.2f}")
     return 0
 
 

@@ -1,7 +1,8 @@
 """Declarative assembly of the full detector: backbone, SPPF/attention neck,
 PAN-style fusion path, and the anchor-free multi-scale head, for the five
 scaling variants n/s/m/l/x. Also parameter and FLOP accounting, seeded random
-initialization, and strict weight-file population.
+initialization, and strict weight-file population. The forward pass, shape
+inference and FLOP accounting share one layer walker.
 """
 from __future__ import annotations
 
@@ -179,8 +180,36 @@ class DetectHead:
         return f
 
 
+def _learnable_params(block: object) -> int:
+    # Conv weights and biases plus bn gamma/beta; running statistics excluded.
+    return sum(
+        arr.size
+        for _, leaf in iter_leaf_blocks(block)
+        for suffix, arr in leaf.entries()
+        if suffix not in ("mean", "var")
+    )
+
+
+def _run_layer(spec: LayerSpec, block, inputs: list[Tensor]):
+    # The one dispatch on layer kind over tensors. The kernels are looked up
+    # as module globals at call time, so rebinding them (as tracing does)
+    # reaches every call.
+    if spec.kind == "Upsample":
+        return upsample_nearest2x(inputs[0])
+    if spec.kind == "Concat":
+        return concat_channels(inputs)
+    if spec.kind == "DetectHead":
+        return block(inputs)
+    return block(inputs[0])
+
+
 class ModelGraph:
-    """Materialized layer DAG. Immutable topology; forward is pure."""
+    """Materialized layer DAG. Immutable topology; forward is pure.
+
+    One walker, `_walk`, visits the layers in order and resolves each layer's
+    inputs; `forward` runs it over tensors, and `count_flops` and
+    `layer_summary` run it over (channels, h, w) shape tuples.
+    """
 
     def __init__(
         self,
@@ -206,9 +235,25 @@ class ModelGraph:
         heads = [i for i, s in enumerate(layers) if s.kind == "DetectHead"]
         if len(heads) != 1 or heads[0] != len(layers) - 1:
             raise ValueError("graph must end with exactly one DetectHead layer")
-        self.head_index = heads[0]
 
-    # -- forward ---------------------------------------------------------
+    # -- layer walk ------------------------------------------------------
+
+    def _walk(self, first, step):
+        """Run `step(spec, block, inputs)` over the layers in order, starting
+        from `first` as the input of layer 0; returns the last layer's output.
+
+        Only outputs that a later non-adjacent layer reads (`self.save`) are
+        kept, so a forward holds no more feature maps than it needs. It is a
+        plain loop rather than a generator: a caller holding the previous
+        yielded item would keep one more feature map alive.
+        """
+        saved = {}
+        x = first
+        for spec, block in zip(self.layers, self.blocks):
+            x = step(spec, block, [x if f == spec.index - 1 else saved[f] for f in spec.froms])
+            if spec.index in self.save:
+                saved[spec.index] = x
+        return x
 
     def forward(self, image: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         """Run the network; returns the three raw head tensors (P3, P4, P5)."""
@@ -218,25 +263,7 @@ class ModelGraph:
             raise ValueError(
                 f"input size {image.h}x{image.w} must be divisible by 32"
             )
-        cache: dict[int, Tensor] = {}
-        x = image
-        result: tuple[Tensor, Tensor, Tensor] | None = None
-        for spec, block in zip(self.layers, self.blocks):
-            inputs = [x if f == spec.index - 1 else cache[f] for f in spec.froms]
-            if spec.kind == "Upsample":
-                out = upsample_nearest2x(inputs[0])
-            elif spec.kind == "Concat":
-                out = concat_channels(inputs)
-            elif spec.kind == "DetectHead":
-                result = block(inputs)
-                break
-            else:
-                out = block(inputs[0])
-            if spec.index in self.save:
-                cache[spec.index] = out
-            x = out
-        assert result is not None
-        return result
+        return self._walk(image, _run_layer)
 
     __call__ = forward
 
@@ -258,74 +285,53 @@ class ModelGraph:
 
     def count_params(self) -> int:
         """Learnable parameter count: conv weights and biases plus bn gamma/beta."""
-        total = 0
-        for _, leaf in self.named_leaf_blocks():
-            for suffix, arr in leaf.entries():
-                if suffix in ("mean", "var"):
-                    continue
-                total += arr.size
-        return total
+        return sum(_learnable_params(b) for b in self.blocks if b is not None)
 
     # -- accounting --------------------------------------------------------
 
-    def _walk_shapes(self, input_size: int) -> list[tuple[int, int, int]]:
-        """Per-layer output (channels, h, w) at the given square input size."""
-        shapes: list[tuple[int, int, int]] = []
-        cur = (3, input_size, input_size)
-        for spec, block in zip(self.layers, self.blocks):
-            ins = [cur if f == spec.index - 1 else shapes[f] for f in spec.froms]
-            c, h, w = ins[0]
-            if spec.kind == "Upsample":
-                out = (c, 2 * h, 2 * w)
-            elif spec.kind == "Concat":
-                out = (sum(i[0] for i in ins), h, w)
-            elif spec.kind == "DetectHead":
-                out = (block.out_channels, h, w)
-            elif spec.kind == "ConvBlock":
-                oh, ow = block.out_hw(h, w)
-                out = (block.out_channels, oh, ow)
+    def _shape_walk(self, input_size: int) -> list[tuple[tuple[int, int, int], float]]:
+        """Per layer: output (channels, h, w) at a square input size, and FLOPs
+        (0.0 for Upsample and Concat, which compute nothing)."""
+        rows = []
+
+        def step(spec, block, inputs):
+            _, h, w = inputs[0]
+            if spec.kind == "DetectHead":
+                flops = block.flops([(ih, iw) for _, ih, iw in inputs])
             else:
-                out = (block.out_channels, h, w)
-            shapes.append(out)
-            cur = out
-        return shapes
+                flops = 0.0 if block is None else block.flops(h, w)
+            if spec.kind == "Upsample":
+                h, w = 2 * h, 2 * w
+            elif spec.kind == "ConvBlock":
+                h, w = block.out_hw(h, w)
+            shape = (self.out_channels[spec.index], h, w)
+            rows.append((shape, flops))
+            return shape
+
+        self._walk((3, input_size, input_size), step)
+        return rows
 
     def count_flops(self, input_size: int) -> float:
         """Forward cost in GFLOPs at batch 1 (multiply-add counted as 2)."""
         if input_size % 32:
             raise ValueError(f"input size {input_size} must be divisible by 32")
-        shapes = self._walk_shapes(input_size)
         total = 0.0
-        for spec, block in zip(self.layers, self.blocks):
-            if spec.kind in ("Upsample", "Concat"):
-                continue
-            ins = [shapes[f] if f >= 0 else (3, input_size, input_size) for f in spec.froms]
-            if spec.kind == "DetectHead":
-                total += block.flops([(h, w) for _, h, w in ins])
-            else:
-                _, h, w = ins[0]
-                total += block.flops(h, w)
+        for _, flops in self._shape_walk(input_size):
+            total += flops
         return total / 1e9
 
     def layer_summary(self, input_size: int) -> list[dict]:
         """Per-layer rows for reporting: kind, froms, output shape, params."""
-        shapes = self._walk_shapes(input_size)
         rows = []
-        for spec, block in zip(self.layers, self.blocks):
-            params = 0
-            if block is not None:
-                for _, leaf in iter_leaf_blocks(block, "x"):
-                    for suffix, arr in leaf.entries():
-                        if suffix not in ("mean", "var"):
-                            params += arr.size
-            c, h, w = shapes[spec.index]
+        walk = self._shape_walk(input_size)
+        for spec, block, ((c, h, w), _) in zip(self.layers, self.blocks, walk):
             rows.append(
                 {
                     "index": spec.index,
                     "kind": spec.kind,
                     "from": list(spec.froms),
                     "output_shape": [1, c, h, w],
-                    "params": params,
+                    "params": 0 if block is None else _learnable_params(block),
                 }
             )
         return rows

@@ -2,12 +2,13 @@
 
 Everything is 32-bit float and pure: kernels never mutate their inputs and
 always return freshly allocated tensors. Dense and grouped convolutions run as
-im2col plus one matrix multiply. Depthwise convolution, which has too little
-arithmetic per byte for a matrix multiply to pay, accumulates k*k shifted,
-strided slices of the padded input times one weight per channel. Max pooling
-is separable: a running maximum over k strided row slices, then over k strided
-column slices. Both are pinned to their direct definitions; the test suite
-checks them against independent naive implementations.
+im2col plus one matrix multiply batched over the groups. Depthwise convolution,
+which has too little arithmetic per byte for a matrix multiply to pay,
+accumulates k*k shifted, strided slices of the padded input times one weight
+per channel. Max pooling is separable: a running maximum over k strided row
+slices, then over k strided column slices. Both are pinned to their direct
+definitions; the test suite checks them against independent naive
+implementations.
 """
 from __future__ import annotations
 
@@ -109,7 +110,7 @@ class ConvSpec:
     """Geometry plus parameters of one 2-D convolution.
 
     Constraints: square kernel of size 1 or 3, stride 1 or 2, shape-preserving
-    padding k//2, dilation fixed at 1. Weight layout is
+    padding k//2. Weight layout is
     (out_channels, in_channels // groups, k, k); bias is optional.
     """
 
@@ -119,7 +120,6 @@ class ConvSpec:
     stride: int = 1
     padding: int | None = None
     groups: int = 1
-    dilation: int = 1
     weight: np.ndarray | None = None
     bias: np.ndarray | None = None
 
@@ -128,8 +128,6 @@ class ConvSpec:
             raise ValueError(f"kernel must be 1 or 3, got {self.kernel}")
         if self.stride not in (1, 2):
             raise ValueError(f"stride must be 1 or 2, got {self.stride}")
-        if self.dilation != 1:
-            raise ValueError("dilation is fixed at 1")
         if self.padding is None:
             self.padding = self.kernel // 2
         if self.padding != self.kernel // 2:
@@ -154,10 +152,6 @@ class ConvSpec:
                 raise ValueError(
                     f"bias shape {self.bias.shape} does not match ({self.out_channels},)"
                 )
-
-    @property
-    def weight_count(self) -> int:
-        return int(self.weight.size)
 
 
 @dataclass
@@ -204,12 +198,6 @@ class BatchNormParams:
         return scale.astype(np.float32), shift.astype(np.float32)
 
 
-def _window_view(data: np.ndarray, k: int, stride: int) -> np.ndarray:
-    # (N, C, OH, OW, K, K) strided view over an already padded array.
-    win = np.lib.stride_tricks.sliding_window_view(data, (k, k), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
-
-
 def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     """2-D convolution with zero padding, exact direct-convolution semantics.
 
@@ -236,21 +224,14 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     elif g == x.c and c_out == x.c:
         out = _depthwise(data, w[:, 0], s, oh, ow)
     else:
-        win = _window_view(data, k, s)
-        if g == 1:
-            cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
-            cols = cols.reshape(n, x.c * k * k, oh * ow)
-            out = np.matmul(w.reshape(c_out, x.c * k * k), cols)
-        else:
-            cpg, opg = x.c // g, c_out // g
-            parts = []
-            for gi in range(g):
-                wi = w[gi * opg : (gi + 1) * opg].reshape(opg, cpg * k * k)
-                ci = np.ascontiguousarray(
-                    win[:, gi * cpg : (gi + 1) * cpg].transpose(0, 1, 4, 5, 2, 3)
-                ).reshape(n, cpg * k * k, oh * ow)
-                parts.append(np.matmul(wi, ci))
-            out = np.concatenate(parts, axis=1)
+        # im2col: rows ordered (group, channel in group, ky, kx), so one
+        # batched matmul does every group, dense conv being the case g = 1.
+        cpg, opg = x.c // g, c_out // g
+        win = np.lib.stride_tricks.sliding_window_view(data, (k, k), axis=(2, 3))
+        cols = np.ascontiguousarray(win[:, :, ::s, ::s].transpose(0, 1, 4, 5, 2, 3))
+        out = np.matmul(
+            w.reshape(g, opg, cpg * k * k), cols.reshape(n, g, cpg * k * k, oh * ow)
+        )
 
     # Every branch above allocates `out`, so the bias can go in place.
     out = out.reshape(n, c_out, oh, ow).astype(np.float32, copy=False)

@@ -2,7 +2,10 @@
 
 Nothing here shares code paths with the package: convolution is the literal
 seven-loop definition, max pooling scans windows explicitly, and AP/mAP is a
-direct per-(threshold, class) enumeration. Keep it that way.
+direct per-(threshold, class) enumeration. Keep it that way. The graph walks
+are the exception: they drive the package's own blocks and kernels, but each
+resolves layer inputs and dispatches on layer kind in its own loop, one loop
+per purpose, which is what ModelGraph's single walker must reproduce.
 """
 from __future__ import annotations
 
@@ -72,6 +75,69 @@ def maxpool2d_direct(x: np.ndarray, k: int, stride: int, padding: int) -> np.nda
                                 best = v
                     out[ni, ci, oy, ox] = best
     return out
+
+
+def walk_shapes_reference(graph, input_size: int) -> list[tuple[int, int, int]]:
+    """Per-layer output (channels, h, w) of `graph` at a square input size."""
+    shapes: list[tuple[int, int, int]] = []
+    cur = (3, input_size, input_size)
+    for spec, block in zip(graph.layers, graph.blocks):
+        ins = [cur if f == spec.index - 1 else shapes[f] for f in spec.froms]
+        c, h, w = ins[0]
+        if spec.kind == "Upsample":
+            out = (c, 2 * h, 2 * w)
+        elif spec.kind == "Concat":
+            out = (sum(i[0] for i in ins), h, w)
+        elif spec.kind == "DetectHead":
+            out = (block.out_channels, h, w)
+        elif spec.kind == "ConvBlock":
+            k, s, p = block.spec.kernel, block.spec.stride, block.spec.padding
+            out = (block.out_channels, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1)
+        else:
+            out = (block.out_channels, h, w)
+        shapes.append(out)
+        cur = out
+    return shapes
+
+
+def count_flops_reference(graph, input_size: int) -> float:
+    """GFLOPs of `graph` at batch 1: per-layer block FLOPs summed in layer order."""
+    shapes = walk_shapes_reference(graph, input_size)
+    total = 0.0
+    for spec, block in zip(graph.layers, graph.blocks):
+        if spec.kind in ("Upsample", "Concat"):
+            continue
+        ins = [shapes[f] if f >= 0 else (3, input_size, input_size) for f in spec.froms]
+        if spec.kind == "DetectHead":
+            total += block.flops([(h, w) for _, h, w in ins])
+        else:
+            _, h, w = ins[0]
+            total += block.flops(h, w)
+    return total / 1e9
+
+
+def forward_reference(graph, image):
+    """Layer-by-layer forward of `graph`. Returns the head tensors and each
+    layer's output shape (for the head layer, that of its P3 tensor)."""
+    from y11.tensor import concat_channels, upsample_nearest2x
+
+    cache = {}
+    shapes = []
+    x = image
+    for spec, block in zip(graph.layers, graph.blocks):
+        inputs = [x if f == spec.index - 1 else cache[f] for f in spec.froms]
+        if spec.kind == "Upsample":
+            out = upsample_nearest2x(inputs[0])
+        elif spec.kind == "Concat":
+            out = concat_channels(inputs)
+        elif spec.kind == "DetectHead":
+            out = block(inputs)
+        else:
+            out = block(inputs[0])
+        shapes.append(tuple(out[0].shape if spec.kind == "DetectHead" else out.shape))
+        cache[spec.index] = out
+        x = out
+    return x, shapes
 
 
 def _iou_plain(a, b) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tensor
+from oracle_helpers import count_flops_reference, forward_reference, walk_shapes_reference
 from y11.blocks import C3K2, SPPF, ConvBlock
 from y11.graph import (
     VARIANTS,
@@ -214,6 +215,38 @@ class TestCountFlops:
         head = rows[-1]
         assert head["kind"] == "DetectHead"
         assert head["output_shape"][1] == 144
+
+
+class TestWalkReferences:
+    """The shared layer walker against one independent loop per purpose."""
+
+    @pytest.mark.parametrize("size", [320, 640])
+    @pytest.mark.parametrize("variant", list("nsmlx"))
+    def test_flops_and_shapes_match_reference(self, variant, size):
+        g = build_graph(variant)
+        # Exact: per-layer FLOPs must sum to count_flops with ==.
+        assert g.count_flops(size) == count_flops_reference(g, size)
+        shapes = [tuple(r["output_shape"]) for r in g.layer_summary(size)]
+        assert shapes == [(1, *s) for s in walk_shapes_reference(g, size)]
+
+    @pytest.mark.parametrize("variant,size", [("n", 64), ("n", 96), ("s", 64)])
+    def test_forward_matches_reference_bitwise(self, variant, size):
+        g = build_graph(variant).init_random(8)
+        rng = np.random.default_rng(9)
+        for _, leaf in g.named_leaf_blocks():
+            if leaf.bn is not None:
+                c = leaf.bn.channels
+                leaf.set_entry("gamma", rng.uniform(0.5, 1.5, c).astype(np.float32))
+                leaf.set_entry("beta", rng.uniform(-0.3, 0.3, c).astype(np.float32))
+                leaf.set_entry("mean", rng.uniform(-0.3, 0.3, c).astype(np.float32))
+                leaf.set_entry("var", rng.uniform(0.5, 2.0, c).astype(np.float32))
+        x = random_tensor(rng, 1, 3, size, size)
+        want, shapes = forward_reference(g, x)
+        got = g.forward(x)
+        assert len(got) == len(want) == 3
+        for a, b in zip(got, want):
+            assert np.array_equal(a.data, b.data)
+        assert shapes == [tuple(r["output_shape"]) for r in g.layer_summary(size)]
 
 
 class TestInitRandom:

@@ -99,7 +99,7 @@ class TestConv2d:
     def test_matches_direct_oracle(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 3))
-        groups = int(rng.choice([1, 1, 2]))
+        groups = int(rng.choice([1, 1, 2, 3]))
         cpg_in = int(rng.integers(1, 5))
         cpg_out = int(rng.integers(1, 5))
         c_in, c_out = groups * cpg_in, groups * cpg_out
