@@ -291,7 +291,10 @@ class ModelGraph:
 
     def _shape_walk(self, input_size: int) -> list[tuple[tuple[int, int, int], float]]:
         """Per layer: output (channels, h, w) at a square input size, and FLOPs
-        (0.0 for Upsample and Concat, which compute nothing)."""
+        (0.0 for Upsample and Concat, which compute nothing). Like `forward`,
+        it rejects a size the three strides cannot divide."""
+        if input_size % 32:
+            raise ValueError(f"input size {input_size} must be divisible by 32")
         rows = []
 
         def step(spec, block, inputs):
@@ -313,8 +316,6 @@ class ModelGraph:
 
     def count_flops(self, input_size: int) -> float:
         """Forward cost in GFLOPs at batch 1 (multiply-add counted as 2)."""
-        if input_size % 32:
-            raise ValueError(f"input size {input_size} must be divisible by 32")
         total = 0.0
         for _, flops in self._shape_walk(input_size):
             total += flops

@@ -24,6 +24,7 @@ inputs produce byte-equal files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -277,6 +278,8 @@ def read_annotations(text: str) -> AnnotationSet:
             raise FormatError(
                 f"annotations: annotation {ann.id} references unknown category_id {ann.category_id}"
             )
+        if not all(map(math.isfinite, ann.bbox)):
+            raise FormatError(f"annotations: annotation {ann.id} has a non-finite bbox value")
         if ann.bbox[2] <= 0 or ann.bbox[3] <= 0:
             raise FormatError(f"annotations: annotation {ann.id} has non-positive box dims")
         annotations.append(ann)
@@ -306,6 +309,8 @@ def write_detections(dets: Sequence[DumpDetection]) -> str:
 
 
 def read_detections(text: str) -> list[DumpDetection]:
+    """Parse a detection dump. Every bbox value must be finite and w, h >= 0;
+    zero is allowed, since unletterboxing can clip a box to zero width."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -313,7 +318,7 @@ def read_detections(text: str) -> list[DumpDetection]:
     if not isinstance(doc, list):
         raise FormatError("detections: top-level value must be a list")
     out = []
-    for item in doc:
+    for k, item in enumerate(doc):
         try:
             det = DumpDetection(
                 int(item["image_id"]),
@@ -325,6 +330,10 @@ def read_detections(text: str) -> list[DumpDetection]:
             raise FormatError(f"detections: bad record {item!r}: {exc}") from None
         if len(det.bbox) != 4:
             raise FormatError(f"detections: bbox must have 4 numbers, got {item!r}")
+        if not all(map(math.isfinite, det.bbox)):
+            raise FormatError(f"detections: record {k} has a non-finite bbox value: {item!r}")
+        if det.bbox[2] < 0 or det.bbox[3] < 0:
+            raise FormatError(f"detections: record {k} has negative box dims: {item!r}")
         if not 0.0 <= det.score <= 1.0:
             raise FormatError(f"detections: score {det.score} outside [0, 1]")
         out.append(det)

@@ -1,6 +1,9 @@
 """Detection evaluation: IoU, greedy matching, precision/recall/F1, per-class
 average precision by exact integration of the precision-recall envelope, and
 mAP averaged over classes and over the IoU threshold sweep 0.50:0.05:0.95.
+The sweep is matched in one pass: each IoU between a detection and a ground
+truth of the same (image, class) is computed once and reused at every
+threshold.
 
 Detections are (image_id, class_id, score, (x1, y1, x2, y2)) tuples and ground
 truths are (image_id, class_id, (x1, y1, x2, y2)); boxes use pixel xyxy.
@@ -85,44 +88,72 @@ def match_detections(
     best-IoU unmatched same-class ground truth in the same image; a claim
     counts as TP iff that IoU >= iou_thresh. Each ground truth matches once.
     """
-    gt_by_key: dict[tuple[int, int], list[Box]] = {}
+    return _match_sweep(dets, gts, [iou_thresh])[0]
+
+
+def _match_sweep(
+    dets: Iterable[DetTuple], gts: Iterable[GtTuple], thresholds: Sequence[float]
+) -> list[MatchLedger]:
+    """`match_detections` at every threshold, in one pass over the detections.
+
+    Detections are ranked once by descending score (ties keep input order),
+    and each IoU between a detection and a ground truth of the same (image,
+    class) key is computed once and reused by every threshold. A detection
+    with no positive IoU is a false positive everywhere; the greedy rule then
+    runs per threshold, with its own taken marks, over the rest, skipping a
+    detection at thresholds above its best IoU, where it can claim nothing.
+    """
+    gt_by_key: dict[tuple[int, int], list[tuple[int, Box]]] = {}
     num_gt: dict[int, int] = {}
-    for image_id, class_id, box in gts:
-        gt_by_key.setdefault((image_id, class_id), []).append(box)
+    for g, (image_id, class_id, box) in enumerate(gts):
+        gt_by_key.setdefault((image_id, class_id), []).append((g, box))
         num_gt[class_id] = num_gt.get(class_id, 0) + 1
 
-    matched: dict[tuple[int, int], np.ndarray] = {
-        key: np.zeros(len(boxes), dtype=bool) for key, boxes in gt_by_key.items()
-    }
-    order = sorted(enumerate(dets), key=lambda kv: (-kv[1][2], kv[0]))
+    dets = list(dets)
+    scores = np.array([d[2] for d in dets], dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")
+    ranked_scores = scores[order]
 
-    flags: dict[int, list[tuple[float, bool]]] = {}
-    for _, (image_id, class_id, score, box) in order:
-        key = (image_id, class_id)
-        candidates = gt_by_key.get(key, [])
-        best_iou, best_j = 0.0, -1
-        taken = matched.get(key)
-        for j, gt_box in enumerate(candidates):
-            if taken[j]:
-                continue
+    # Rank positions per class, and (rank, best IoU, [(gt index, IoU > 0)])
+    # for each detection that overlaps a ground truth of its key.
+    ranks_by_class: dict[int, list[int]] = {}
+    overlapping: list[tuple[int, float, list[tuple[int, float]]]] = []
+    for rank, i in enumerate(order.tolist()):
+        image_id, class_id, _, box = dets[i]
+        ranks_by_class.setdefault(class_id, []).append(rank)
+        pairs = []
+        for g, gt_box in gt_by_key.get((image_id, class_id), ()):
             v = iou(box, gt_box)
-            if v > best_iou:
-                best_iou, best_j = v, j
-        is_tp = best_j >= 0 and best_iou >= iou_thresh
-        if is_tp:
-            taken[best_j] = True
-        flags.setdefault(class_id, []).append((score, is_tp))
+            if v > 0.0:
+                pairs.append((g, v))
+        if pairs:
+            overlapping.append((rank, max(v for _, v in pairs), pairs))
 
-    ledger = MatchLedger(iou_thresh)
-    class_ids = set(num_gt) | set(flags)
-    for cid in sorted(class_ids):
-        entries = flags.get(cid, [])
-        ledger.classes[cid] = ClassMatches(
-            scores=np.array([s for s, _ in entries], dtype=np.float64),
-            is_tp=np.array([t for _, t in entries], dtype=bool),
-            num_gt=num_gt.get(cid, 0),
-        )
-    return ledger
+    classes = []
+    for cid in sorted(set(num_gt) | set(ranks_by_class)):
+        rows = np.array(ranks_by_class.get(cid, ()), dtype=np.intp)
+        classes.append((cid, rows, ranked_scores[rows], num_gt.get(cid, 0)))
+    n_gt = sum(num_gt.values())
+
+    ledgers = []
+    for t in thresholds:
+        taken = [False] * n_gt
+        is_tp = np.zeros(len(dets), dtype=bool)
+        for rank, best, pairs in overlapping:
+            if best < t:
+                continue
+            best_iou, best_g = 0.0, -1
+            for g, v in pairs:
+                if v > best_iou and not taken[g]:
+                    best_iou, best_g = v, g
+            if best_g >= 0 and best_iou >= t:
+                taken[best_g] = True
+                is_tp[rank] = True
+        ledger = MatchLedger(t)
+        for cid, rows, class_scores, class_gt in classes:
+            ledger.classes[cid] = ClassMatches(class_scores, is_tp[rows], class_gt)
+        ledgers.append(ledger)
+    return ledgers
 
 
 def precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -220,8 +251,7 @@ def evaluate(
     thresholds = list(thresholds) if thresholds is not None else default_thresholds()
     ap: dict[int, dict[float, float | None]] = {}
     class_ids: set[int] = set()
-    for t in thresholds:
-        ledger = match_detections(dets, gts, t)
+    for t, ledger in zip(thresholds, _match_sweep(dets, gts, thresholds)):
         class_ids |= set(ledger.classes)
         for cid, matches in ledger.classes.items():
             ap.setdefault(cid, {})[t] = average_precision(pr_curve(matches))

@@ -5,7 +5,10 @@ seven-loop definition, max pooling scans windows explicitly, and AP/mAP is a
 direct per-(threshold, class) enumeration. Keep it that way. The graph walks
 are the exception: they drive the package's own blocks and kernels, but each
 resolves layer inputs and dispatches on layer kind in its own loop, one loop
-per purpose, which is what ModelGraph's single walker must reproduce.
+per purpose, which is what ModelGraph's single walker must reproduce. The
+matching references are the other exception: they are the per-threshold
+greedy loop and evaluation that `metrics._match_sweep` replaced, scoring with
+the package's scalar `iou` and building its ledger and report types.
 """
 from __future__ import annotations
 
@@ -211,3 +214,72 @@ def brute_force_map(dets, gts, thresholds):
         map_by_thresh[t] = sum(aps) / len(aps)
     overall = sum(map_by_thresh[t] for t in thresholds) / len(thresholds)
     return map_by_thresh, overall
+
+
+def match_detections_reference(dets, gts, iou_thresh: float):
+    """Greedy matching at one threshold, re-sorting the detections and
+    recomputing every IoU against the not-yet-taken ground truths of the key."""
+    from y11.metrics import ClassMatches, MatchLedger, iou
+
+    gt_by_key = {}
+    num_gt = {}
+    for image_id, class_id, box in gts:
+        gt_by_key.setdefault((image_id, class_id), []).append(box)
+        num_gt[class_id] = num_gt.get(class_id, 0) + 1
+
+    matched = {key: np.zeros(len(boxes), dtype=bool) for key, boxes in gt_by_key.items()}
+    order = sorted(enumerate(dets), key=lambda kv: (-kv[1][2], kv[0]))
+
+    flags = {}
+    for _, (image_id, class_id, score, box) in order:
+        key = (image_id, class_id)
+        candidates = gt_by_key.get(key, [])
+        best_iou, best_j = 0.0, -1
+        taken = matched.get(key)
+        for j, gt_box in enumerate(candidates):
+            if taken[j]:
+                continue
+            v = iou(box, gt_box)
+            if v > best_iou:
+                best_iou, best_j = v, j
+        is_tp = best_j >= 0 and best_iou >= iou_thresh
+        if is_tp:
+            taken[best_j] = True
+        flags.setdefault(class_id, []).append((score, is_tp))
+
+    ledger = MatchLedger(iou_thresh)
+    for cid in sorted(set(num_gt) | set(flags)):
+        entries = flags.get(cid, [])
+        ledger.classes[cid] = ClassMatches(
+            scores=np.array([s for s, _ in entries], dtype=np.float64),
+            is_tp=np.array([t for _, t in entries], dtype=bool),
+            num_gt=num_gt.get(cid, 0),
+        )
+    return ledger
+
+
+def evaluate_reference(dets, gts, thresholds, operating_conf: float = 0.25):
+    """`metrics.evaluate` with one `match_detections_reference` call per threshold."""
+    from y11.metrics import (
+        EvalReport, average_precision, mean_ap, pr_curve, precision_recall_f1,
+    )
+
+    thresholds = list(thresholds)
+    ap = {}
+    class_ids = set()
+    for t in thresholds:
+        ledger = match_detections_reference(dets, gts, t)
+        class_ids |= set(ledger.classes)
+        for cid, matches in ledger.classes.items():
+            ap.setdefault(cid, {})[t] = average_precision(pr_curve(matches))
+    map_by_thresh, map5095 = mean_ap(ap, thresholds)
+    map50 = map_by_thresh.get(0.5, map_by_thresh[thresholds[0]])
+
+    working = [d for d in dets if d[2] >= operating_conf]
+    ledger = match_detections_reference(working, gts, 0.5)
+    tp = sum(m.tp for m in ledger.classes.values())
+    fp = sum(m.fp for m in ledger.classes.values())
+    fn = sum(m.fn for m in ledger.classes.values())
+    p, r, f1 = precision_recall_f1(tp, fp, fn)
+    return EvalReport(thresholds, sorted(class_ids), ap, map_by_thresh, map50, map5095,
+                      operating_conf, p, r, f1)

@@ -176,6 +176,22 @@ class TestEval:
         code, _, err = run(capsys, "eval", str(bad), str(anns_path))
         assert code == 2 and "JSON" in err
 
+    def test_non_finite_or_negative_boxes_are_data_errors(self, tmp_path, capsys):
+        dets_path, anns_path = write_eval_fixture(tmp_path, [])
+        good_det = {"image_id": 0, "category_id": 0, "bbox": [10, 10, 20, 20], "score": 0.9}
+        for bbox, message in [("[NaN, 10, 20, 20]", "non-finite"),
+                              ("[10, 10, Infinity, 20]", "non-finite"),
+                              ("[10, 10, 20, -1]", "negative")]:
+            dets_path.write_text("[" + json.dumps(good_det).replace("[10, 10, 20, 20]", bbox) + "]")
+            code, stdout, err = run(capsys, "eval", str(dets_path), str(anns_path))
+            assert code == 2 and message in err and stdout == ""
+
+        dets_path.write_text("[]")
+        bad_ann = dict(ANNS["annotations"][0], bbox=[float("nan"), 1, float("inf"), 2])
+        anns_path.write_text(json.dumps(dict(ANNS, annotations=[bad_ann])))  # NaN, Infinity
+        code, stdout, err = run(capsys, "eval", str(dets_path), str(anns_path))
+        assert code == 2 and "non-finite" in err and stdout == ""
+
 
 class TestBench:
     def test_report_schema_and_counts(self, capsys):

@@ -208,6 +208,12 @@ class TestCountFlops:
         with pytest.raises(ValueError, match="divisible"):
             build_graph("n").count_flops(100)
 
+    def test_layer_summary_rejects_indivisible_size(self):
+        # At 100 the 2x-upsampled 4x4 P5 map would be concatenated with the
+        # 7x7 P4 map; the summary must refuse the size as forward does.
+        with pytest.raises(ValueError, match="divisible"):
+            build_graph("n").layer_summary(100)
+
     def test_layer_summary_totals_match(self):
         g = build_graph("n")
         rows = g.layer_summary(640)

@@ -143,9 +143,18 @@ class TestAnnotations:
             read_annotations(bad)
 
     def test_negative_box_dims(self):
-        bad = MINIMAL_ANNS.replace("[4, 5, 10, 12]", "[4, 5, -10, 12]")
-        with pytest.raises(FormatError, match="non-positive"):
-            read_annotations(bad)
+        for bbox, message in [
+            ("[4, 5, -10, 12]", "non-positive"),
+            ("[4, 5, 10, 0]", "non-positive"),
+            # nan <= 0 is False, so non-finite values need their own check.
+            ("[NaN, 1, Infinity, 2]", "annotation 10 has a non-finite"),
+            ("[4, 5, 10, NaN]", "annotation 10 has a non-finite"),
+            ("[4, -Infinity, 10, 12]", "annotation 10 has a non-finite"),
+            ("[4, 5, 1e999, 12]", "annotation 10 has a non-finite"),
+        ]:
+            bad = MINIMAL_ANNS.replace("[4, 5, 10, 12]", bbox)
+            with pytest.raises(FormatError, match=message):
+                read_annotations(bad)
 
     def test_invalid_json(self):
         with pytest.raises(FormatError, match="JSON"):
@@ -173,6 +182,7 @@ class TestDetectionDump:
         dets = [
             DumpDetection(0, 1, (1.25, 2.5, 3.75, 4.0), 0.125),
             DumpDetection(2, 0, (0.0, 0.0, 10.0, 10.0), 1.0),
+            DumpDetection(3, 2, (639.0, 5.0, 0.0, 0.0), 0.5),  # clipped to zero size
         ]
         out = read_detections(write_detections(dets))
         assert out == dets
@@ -188,3 +198,15 @@ class TestDetectionDump:
     def test_bad_record(self):
         with pytest.raises(FormatError, match="bad record"):
             read_detections('[{"image_id": 0}]')
+        good = '{"image_id": 0, "category_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5}'
+        for bbox, message in [
+            ("[NaN, 0, 1, 1]", "record 1 has a non-finite"),
+            ("[0, 0, Infinity, 1]", "record 1 has a non-finite"),
+            ("[0, -Infinity, 1, 1]", "record 1 has a non-finite"),
+            ("[0, 0, 1, 1e999]", "record 1 has a non-finite"),
+            ("[0, 0, -1, 1]", "record 1 has negative"),
+            ("[0, 0, 1, -0.5]", "record 1 has negative"),
+        ]:
+            bad = good.replace("[0, 0, 1, 1]", bbox)
+            with pytest.raises(FormatError, match=message):
+                read_detections(f"[{good}, {bad}]")

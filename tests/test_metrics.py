@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_helpers import brute_force_map
+from oracle_helpers import brute_force_map, evaluate_reference, match_detections_reference
+from y11 import metrics
 from y11.metrics import (
     PRCurve,
     average_precision,
@@ -63,6 +64,10 @@ class TestIoU:
         assert iou(a2, b2) == pytest.approx(v, abs=1e-9)
 
 
+TIE_DETS = [det(0, 0, 0.9, B), det(0, 0, 0.8, (0.0, 0.0, 10.0, 5.0))]
+TIE_GTS = [gt(0, 0, (0.0, 0.0, 10.0, 5.0)), gt(0, 0, (0.0, 5.0, 10.0, 10.0))]
+
+
 class TestMatching:
     def test_perfect_match(self):
         ledger = match_detections([det(0, 1, 0.9, B)], [gt(0, 1, B)], 0.5)
@@ -89,6 +94,19 @@ class TestMatching:
         ledger = match_detections(dets, gts, 0.5)
         assert ledger.classes[1].tp == 0  # right class, wrong image
         assert ledger.classes[2].tp == 0
+
+    def test_equal_iou_tie_goes_to_first_ground_truth(self):
+        # The 0.9 detection has IoU 0.5 with both halves of itself and claims
+        # the first listed; the 0.8 detection equals that half, so it loses.
+        dets, gts = TIE_DETS, TIE_GTS
+        assert list(match_detections(dets, gts, 0.5).classes[0].is_tp) == [True, False]
+        assert list(match_detections(dets, gts[::-1], 0.5).classes[0].is_tp) == [True, True]
+
+    def test_invalid_box_sharing_a_key_raises(self):
+        # Scored against every ground truth of its key, even one already taken.
+        dets = [det(0, 1, 0.9, B), det(0, 1, 0.5, (5.0, 0.0, 4.0, 10.0))]
+        with pytest.raises(ValueError, match="invalid box"):
+            match_detections(dets, [gt(0, 1, B)], 0.5)
 
     def test_tp_plus_fn_equals_gts(self):
         rng = np.random.default_rng(0)
@@ -197,6 +215,90 @@ def _random_eval_case(rng, images, classes, n_gt, n_det):
         dets.append(det(img, cls, float(rng.uniform(0.05, 1.0)),
                         tuple(float(v) for v in dbox)))
     return dets, gts
+
+
+def _tie_heavy_case(rng, images, classes, n_gt, n_det):
+    """Boxes on a 5-px grid with sides 0, 5 or 10 and scores from four levels:
+    equal scores, duplicated ground truths (IoU ties), boxes that only touch
+    edges (IoU exactly 0), zero-area boxes and IoUs exactly on a threshold."""
+
+    def grid_box():
+        x, y = (5.0 * float(v) for v in rng.integers(0, 6, 2))
+        w, h = (5.0 * float(v) for v in rng.integers(0, 3, 2))
+        return (x, y, x + w, y + h)
+
+    gts = []
+    for _ in range(n_gt):
+        img, cls = int(rng.integers(0, images)), int(rng.integers(0, classes))
+        box = grid_box()
+        gts.append(gt(img, cls, box))
+        if rng.random() < 0.3:
+            gts.append(gt(img, cls, box))
+    dets = []
+    for _ in range(n_det):
+        if gts and rng.random() < 0.4:
+            img, cls, box = gts[int(rng.integers(0, len(gts)))]
+        else:
+            img, cls = int(rng.integers(0, images)), int(rng.integers(0, classes))
+            box = grid_box()
+        dets.append(det(img, cls, float(rng.choice([0.25, 0.5, 0.75, 1.0])), box))
+    return dets, gts
+
+
+def _reference_cases():
+    yield TIE_DETS, TIE_GTS
+    yield TIE_DETS, TIE_GTS[::-1]
+    for seed in range(12):
+        rng = np.random.default_rng(100 + seed)
+        yield _random_eval_case(rng, images=3, classes=3, n_gt=int(rng.integers(0, 25)),
+                                n_det=int(rng.integers(0, 40)))
+        yield _tie_heavy_case(rng, images=2, classes=2, n_gt=int(rng.integers(1, 20)),
+                              n_det=int(rng.integers(1, 40)))
+
+
+SWEEP = [0.0] + default_thresholds() + [1.0]
+
+
+def _assert_ledgers_bitwise_equal(got, want):
+    assert got.iou_thresh == want.iou_thresh
+    assert list(got.classes) == list(want.classes)
+    for cid, w in want.classes.items():
+        g = got.classes[cid]
+        assert g.num_gt == w.num_gt
+        for a, b in ((g.scores, w.scores), (g.is_tp, w.is_tp)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+class TestSweepAgainstReference:
+    """The one-pass sweep against the per-threshold loop it replaced."""
+
+    def test_ledgers_and_report_equal_reference(self):
+        for dets, gts in _reference_cases():
+            ledgers = metrics._match_sweep(dets, gts, SWEEP)
+            assert len(ledgers) == len(SWEEP)
+            for t, ledger in zip(SWEEP, ledgers):
+                want = match_detections_reference(dets, gts, t)
+                _assert_ledgers_bitwise_equal(ledger, want)
+                _assert_ledgers_bitwise_equal(match_detections(dets, gts, t), want)
+            if gts:
+                assert evaluate(dets, gts) == evaluate_reference(dets, gts, default_thresholds())
+                assert evaluate(dets, gts, SWEEP, 0.5) == evaluate_reference(dets, gts, SWEEP, 0.5)
+
+    def test_each_same_key_pair_scored_at_most_once(self, monkeypatch):
+        calls = []
+        scalar_iou = metrics.iou
+        monkeypatch.setattr(metrics, "iou", lambda a, b: calls.append(1) or scalar_iou(a, b))
+        for dets, gts in _reference_cases():
+            gts_per_key = {}
+            for image_id, class_id, _ in gts:
+                gts_per_key[image_id, class_id] = gts_per_key.get((image_id, class_id), 0) + 1
+            pairs = sum(gts_per_key.get((d[0], d[1]), 0) for d in dets)
+            calls.clear()
+            metrics._match_sweep(dets, gts, SWEEP)
+            assert len(calls) <= pairs
+            if pairs:
+                assert calls  # the module-level iou is the one in use
 
 
 FIXTURE_DETS = [
