@@ -17,6 +17,7 @@ from .tensor import (
     concat_channels,
     conv2d,
     conv_output_dim,
+    fold_batchnorm,
     maxpool2d,
     silu,
     softmax_lastaxis,
@@ -43,7 +44,14 @@ _SOFTMAX_COST = 5
 
 
 class ConvBlock:
-    """Convolution, optional batch-norm, optional SiLU; the universal leaf."""
+    """Convolution, optional batch-norm, optional SiLU; the universal leaf.
+
+    `spec` and `bn` are the parameters of record: `entries`, `set_entry` and
+    the FLOP model read them. `forward` runs one convolution with the
+    batch-norm folded into its weight and bias (`fold_batchnorm`), computed on
+    the first call and cached; a leaf without batch-norm runs `spec` itself.
+    `set_entry` drops the cached fold, so parameters must change through it.
+    """
 
     def __init__(self, spec: ConvSpec, bn: BatchNormParams | None, act: str = "silu") -> None:
         if act not in ("silu", "none"):
@@ -55,6 +63,7 @@ class ConvBlock:
         self.spec = spec
         self.bn = bn
         self.act = act
+        self._folded: ConvSpec | None = None
 
     @classmethod
     def create(
@@ -85,15 +94,10 @@ class ConvBlock:
         return self.spec.out_channels
 
     def forward(self, x: Tensor) -> Tensor:
-        y = conv2d(x, self.spec)
-        if self.bn is not None:
-            scale, shift = self.bn.scale_shift()
-            z = y.data * scale[:, None, None]
-            z += shift[:, None, None]
-            y = Tensor._wrap(z)
-        if self.act == "silu":
-            y = silu(y)
-        return y
+        if self._folded is None:
+            self._folded = self.spec if self.bn is None else fold_batchnorm(self.spec, self.bn)
+        y = conv2d(x, self._folded)
+        return silu(y) if self.act == "silu" else y
 
     __call__ = forward
 
@@ -117,6 +121,9 @@ class ConvBlock:
             raise ValueError(
                 f"entry {name!r}: shape {tuple(value.shape)} does not match {tuple(current.shape)}"
             )
+        if name == "var" and not np.all(np.isfinite(value) & (value >= 0)):
+            raise ValueError("running variance must be finite and non-negative")
+        self._folded = None
         if name == "weight":
             self.spec.weight = value
         elif name == "bias":

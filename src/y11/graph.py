@@ -364,8 +364,8 @@ class ModelGraph:
     def load_state(self, entries: Sequence[tuple[str, np.ndarray]]) -> "ModelGraph":
         """Populate every parameter from (name, array) pairs; strict matching.
 
-        Missing or extra entries and dimension mismatches are rejected with the
-        offending entry named.
+        Missing or extra entries, dimension mismatches and a negative or
+        non-finite running variance are rejected with the offending entry named.
         """
         provided = {}
         for name, arr in entries:
@@ -392,7 +392,10 @@ class ModelGraph:
                     f"entry {name!r}: file shape {tuple(value.shape)} does not match "
                     f"model shape {tuple(arr.shape)}"
                 )
-            leaves[path].set_entry(suffix, value)
+            try:
+                leaves[path].set_entry(suffix, value)
+            except ValueError as exc:
+                raise ValueError(f"entry {name!r}: {exc}") from None
         return self
 
 

@@ -147,7 +147,13 @@ def write_weights(entries: Sequence[tuple[str, np.ndarray]]) -> bytes:
 
 
 def read_weights(data: bytes) -> list[tuple[str, np.ndarray]]:
-    """Parse a weights container; exact inverse of write_weights."""
+    """Parse a weights container; exact inverse of write_weights.
+
+    Entries are read-only views into the container, not copies, so they keep
+    its buffer alive. A mutable buffer is copied once up front, so writing to
+    it afterwards leaves the entries unchanged.
+    """
+    data = bytes(data)
     if data[:4] != WEIGHTS_MAGIC:
         raise FormatError(f"weights: bad magic {data[:4]!r}")
     if len(data) < 12:
@@ -189,7 +195,7 @@ def read_weights(data: bytes) -> list[tuple[str, np.ndarray]]:
             )
         arr = np.frombuffer(data, dtype="<f4", count=payload // 4, offset=pos)
         pos += payload
-        out.append((name, arr.reshape(dims).copy()))
+        out.append((name, arr.reshape(dims)))
     if pos != len(data):
         raise FormatError(f"weights: trailing data after last entry at byte {pos}")
     return out

@@ -5,8 +5,10 @@ seven-loop definition, max pooling scans windows explicitly, and AP/mAP is a
 direct per-(threshold, class) enumeration. Keep it that way. The graph walks
 are the exception: they drive the package's own blocks and kernels, but each
 resolves layer inputs and dispatches on layer kind in its own loop, one loop
-per purpose, which is what ModelGraph's single walker must reproduce. The
-matching references are the other exception: they are the per-threshold
+per purpose, which is what ModelGraph's single walker must reproduce.
+`conv_block_forward_unfused` is ConvBlock's forward from before batch-norm
+folding: the convolution with the unfolded spec, then batch-norm as a
+per-channel multiply-add. The matching references are the other exception: they are the per-threshold
 greedy loop and evaluation that `metrics._match_sweep` replaced, scoring with
 the package's scalar `iou` and building its ledger and report types.
 """
@@ -141,6 +143,21 @@ def forward_reference(graph, image):
         cache[spec.index] = out
         x = out
     return x, shapes
+
+
+def conv_block_forward_unfused(block, x):
+    """ConvBlock forward with batch-norm applied after the convolution."""
+    from y11.tensor import Tensor, conv2d, silu
+
+    y = conv2d(x, block.spec)
+    if block.bn is not None:
+        scale, shift = block.bn.scale_shift()
+        z = y.data * scale[:, None, None]
+        z += shift[:, None, None]
+        y = Tensor._wrap(z)
+    if block.act == "silu":
+        y = silu(y)
+    return y
 
 
 def _iou_plain(a, b) -> float:

@@ -99,6 +99,19 @@ class TestConvBlock:
         want = manual_conv_block(block, x).data
         assert np.max(np.abs(got - want)) < 1e-4
 
+    def test_set_entry_drops_cached_fold(self):
+        block = randomize(ConvBlock.create(3, 8, k=3), 4)
+        x = random_tensor(np.random.default_rng(5), 1, 3, 6, 6)
+        before = block(x).data
+        gamma = np.linspace(0.2, 2.0, 8, dtype=np.float32)
+        block.set_entry("gamma", gamma)
+        fresh = ConvBlock.create(3, 8, k=3)
+        for name, arr in block.entries():
+            fresh.set_entry(name, arr)
+        after = block(x).data
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, fresh(x).data)
+
     def test_output_channels_and_stride(self):
         block = ConvBlock.create(3, 8, k=3, stride=2)
         x = Tensor.zeros(1, 3, 8, 8)

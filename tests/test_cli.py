@@ -1,6 +1,7 @@
 """Command-line behavior: determinism, schemas, exit codes."""
 import json
 
+import numpy as np
 import pytest
 
 from oracle_helpers import brute_force_map
@@ -61,6 +62,20 @@ class TestInfer:
         code, _, err = run(capsys, "infer", str(small_ppm), "--size", "64",
                            "--weights", str(wpath))
         assert code == 2 and "truncated" in err
+
+    def test_negative_running_variance_is_data_error(self, small_ppm, tmp_path, capsys):
+        from y11.graph import build_graph
+
+        entries = build_graph("n").init_random(9).state_entries()
+        entries = [(n, np.full_like(a, -1.0) if n == "layer0.var" else a) for n, a in entries]
+        wpath = tmp_path / "negvar.y11w"
+        wpath.write_bytes(write_weights(entries))
+        out = tmp_path / "dets.json"
+        code, stdout, err = run(capsys, "infer", str(small_ppm), "--size", "64",
+                                "--weights", str(wpath), "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert "layer0.var" in err and "variance" in err
+        assert not out.exists()
 
     def test_json_format_schema(self, small_ppm, tmp_path, capsys):
         code, stdout, _ = run(capsys, "infer", str(small_ppm), "--size", "64",

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import random_tensor
-from oracle_helpers import count_flops_reference, forward_reference, walk_shapes_reference
+from oracle_helpers import (
+    conv_block_forward_unfused,
+    count_flops_reference,
+    forward_reference,
+    walk_shapes_reference,
+)
 from y11.blocks import C3K2, SPPF, ConvBlock
 from y11.graph import (
     VARIANTS,
@@ -29,6 +34,18 @@ def leaf_param_count(block) -> int:
             if suffix not in ("mean", "var"):
                 total += arr.size
     return total
+
+
+def randomize_bn(g, rng):
+    """Give every batch-norm of graph `g` non-identity statistics."""
+    for _, leaf in g.named_leaf_blocks():
+        if leaf.bn is not None:
+            c = leaf.bn.channels
+            leaf.set_entry("gamma", rng.uniform(0.5, 1.5, c).astype(np.float32))
+            leaf.set_entry("beta", rng.uniform(-0.3, 0.3, c).astype(np.float32))
+            leaf.set_entry("mean", rng.uniform(-0.3, 0.3, c).astype(np.float32))
+            leaf.set_entry("var", rng.uniform(0.5, 2.0, c).astype(np.float32))
+    return g
 
 
 class TestScaling:
@@ -237,15 +254,8 @@ class TestWalkReferences:
 
     @pytest.mark.parametrize("variant,size", [("n", 64), ("n", 96), ("s", 64)])
     def test_forward_matches_reference_bitwise(self, variant, size):
-        g = build_graph(variant).init_random(8)
         rng = np.random.default_rng(9)
-        for _, leaf in g.named_leaf_blocks():
-            if leaf.bn is not None:
-                c = leaf.bn.channels
-                leaf.set_entry("gamma", rng.uniform(0.5, 1.5, c).astype(np.float32))
-                leaf.set_entry("beta", rng.uniform(-0.3, 0.3, c).astype(np.float32))
-                leaf.set_entry("mean", rng.uniform(-0.3, 0.3, c).astype(np.float32))
-                leaf.set_entry("var", rng.uniform(0.5, 2.0, c).astype(np.float32))
+        g = randomize_bn(build_graph(variant).init_random(8), rng)
         x = random_tensor(rng, 1, 3, size, size)
         want, shapes = forward_reference(g, x)
         got = g.forward(x)
@@ -253,6 +263,20 @@ class TestWalkReferences:
         for a, b in zip(got, want):
             assert np.array_equal(a.data, b.data)
         assert shapes == [tuple(r["output_shape"]) for r in g.layer_summary(size)]
+
+    @pytest.mark.parametrize(
+        "variant,size", [("n", 64), ("s", 64), ("m", 64), ("l", 64), ("x", 64), ("n", 320)]
+    )
+    def test_folded_heads_match_unfused_reference(self, variant, size, monkeypatch):
+        rng = np.random.default_rng(10)
+        g = randomize_bn(build_graph(variant).init_random(11), rng)
+        x = random_tensor(rng, 1, 3, size, size)
+        got = g.forward(x)
+        monkeypatch.setattr(ConvBlock, "forward", conv_block_forward_unfused)
+        monkeypatch.setattr(ConvBlock, "__call__", conv_block_forward_unfused)
+        want = g.forward(x)
+        for a, b in zip(got, want):
+            assert np.all(np.abs(a.data - b.data) <= 1e-4 * (1 + np.abs(b.data)))
 
 
 class TestInitRandom:
@@ -318,6 +342,20 @@ class TestLoadState:
             build_graph("n").load_state(entries)
         message = str(err.value)
         assert name0 in message and "(1, 2, 3)" in message
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_bad_running_variance_named(self, bad):
+        entries = build_graph("n").state_entries()
+        i = next(i for i, (name, _) in enumerate(entries) if name == "layer0.var")
+        var = entries[i][1].copy()
+        var[3] = bad
+        entries[i] = ("layer0.var", var)
+        with pytest.raises(ValueError, match=r"layer0\.var.*variance"):
+            build_graph("n").load_state(entries)
+        leaf = build_graph("n").blocks[0]
+        with pytest.raises(ValueError, match="variance"):
+            leaf.set_entry("var", var)
+        assert np.all(leaf.bn.var == 1.0)
 
     def test_duplicate_entry_rejected(self):
         entries = build_graph("n").state_entries()

@@ -79,6 +79,21 @@ class TestWeightsContainer:
             assert got.dtype == np.float32
             assert np.array_equal(got, want)
 
+    def test_entries_are_read_only_views(self):
+        data = write_weights([("a", np.arange(6, dtype=np.float32).reshape(2, 3)),
+                              ("b", np.ones(4, dtype=np.float32))])
+        buffer = np.frombuffer(data, dtype=np.uint8)
+        for _, arr in read_weights(data):
+            assert np.shares_memory(arr, buffer)
+            assert not arr.flags.writeable
+
+    def test_mutable_input_copied_once(self):
+        want = np.arange(5, dtype=np.float32)
+        data = bytearray(write_weights([("w", want)]))
+        ((_, got),) = read_weights(data)
+        data[-20:] = b"\xff" * 20
+        assert np.array_equal(got, want)
+
     def test_write_is_deterministic(self):
         entries = [("x", np.arange(6, dtype=np.float32).reshape(2, 3))]
         assert write_weights(entries) == write_weights(entries)

@@ -202,6 +202,8 @@ class TestFoldBatchnorm:
     def test_bn_validation(self):
         with pytest.raises(ValueError, match="variance"):
             BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), np.array([-1.0, 1.0]))
+        with pytest.raises(ValueError, match="variance"):
+            BatchNormParams(np.ones(2), np.zeros(2), np.zeros(2), np.array([np.nan, 1.0]))
         with pytest.raises(ValueError, match="epsilon"):
             BatchNormParams.identity(2, eps=0.0)
 
