@@ -1,8 +1,12 @@
 """Composite network blocks: Conv-BN-SiLU, CSP bottleneck family, SPPF, attention.
 
-Blocks own their parameters and expose a pure ``forward``. Parameter traversal
-for counting, initialization and weight files goes through ``children()`` /
-``iter_leaf_blocks``; the leaves are always ConvBlock instances.
+Blocks own their parameters and expose a pure ``forward``. The leaves are
+always ConvBlock instances. Every other block here is a `_Composite`: it
+lists its sub-blocks with ``children()``, in a fixed order that names the
+weight-file entries, and the last child is its exit, so its width, its call
+and its FLOPs (the children's plus its own arithmetic) follow from that list.
+Parameter traversal for counting, initialization and weight files goes
+through ``children()`` / ``iter_leaf_blocks``.
 """
 from __future__ import annotations
 
@@ -112,17 +116,30 @@ class ConvBlock:
             yield "mean", self.bn.mean
             yield "var", self.bn.var
 
-    def set_entry(self, name: str, value: np.ndarray) -> None:
+    def _check_entry(self, name: str, value: np.ndarray, label: str | None = None) -> np.ndarray:
+        """`value` as the float32 array `set_entry(name, value)` stores, setting
+        nothing. Raises KeyError for an unknown name, and ValueError naming the
+        entry as `label` (default `name`) for a shape other than the current
+        one or a negative or non-finite running variance."""
         current = dict(self.entries()).get(name)
         if current is None:
             raise KeyError(name)
         value = np.asarray(value, dtype=np.float32)
+        label = name if label is None else label
         if value.shape != current.shape:
             raise ValueError(
-                f"entry {name!r}: shape {tuple(value.shape)} does not match {tuple(current.shape)}"
+                f"entry {label!r}: shape {tuple(value.shape)} does not match "
+                f"model shape {tuple(current.shape)}"
             )
         if name == "var" and not np.all(np.isfinite(value) & (value >= 0)):
-            raise ValueError("running variance must be finite and non-negative")
+            raise ValueError(f"entry {label!r}: running variance must be finite and non-negative")
+        return value
+
+    def set_entry(self, name: str, value: np.ndarray) -> None:
+        self._store(name, self._check_entry(name, value))
+
+    def _store(self, name: str, value: np.ndarray) -> None:
+        """Set an entry that `_check_entry` has returned, and drop the fold."""
         self._folded = None
         if name == "weight":
             self.spec.weight = value
@@ -151,7 +168,28 @@ class ConvBlock:
         return f
 
 
-class Bottleneck:
+class _Composite:
+    """A block made of named children, whose last child in `children()` is
+    its exit. Subclasses define `children()` and `forward`, and override
+    `_own_flops` when they compute more than their children do (residual
+    adds, pools, attention matmuls); calls, width and FLOPs come from here.
+    """
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return self.forward(x)
+
+    @property
+    def out_channels(self) -> int:
+        return self.children()[-1][1].out_channels
+
+    def flops(self, h: int, w: int) -> float:
+        return sum(child.flops(h, w) for _, child in self.children()) + self._own_flops(h, w)
+
+    def _own_flops(self, h: int, w: int) -> float:
+        return 0.0
+
+
+class Bottleneck(_Composite):
     """Two conv blocks with an optional identity shortcut."""
 
     def __init__(
@@ -169,10 +207,6 @@ class Bottleneck:
         if shortcut and c1 != c2:
             raise ValueError(f"shortcut requires matching channels, got {c1} vs {c2}")
 
-    @property
-    def out_channels(self) -> int:
-        return self.cv2.out_channels
-
     def children(self) -> list[tuple[str, object]]:
         return [("cv1", self.cv1), ("cv2", self.cv2)]
 
@@ -180,16 +214,11 @@ class Bottleneck:
         y = self.cv2(self.cv1(x))
         return x + y if self.add else y
 
-    __call__ = forward
-
-    def flops(self, h: int, w: int) -> float:
-        f = self.cv1.flops(h, w) + self.cv2.flops(h, w)
-        if self.add:
-            f += self.out_channels * h * w
-        return f
+    def _own_flops(self, h: int, w: int) -> float:
+        return self.out_channels * h * w if self.add else 0.0
 
 
-class C2F:
+class C2F(_Composite):
     """CSP block: split the entry output in half, chain bottlenecks on one half,
     concatenate every intermediate, and project back down with a 1x1 conv."""
 
@@ -204,10 +233,6 @@ class C2F:
     def _unit(self, shortcut: bool) -> object:
         return Bottleneck(self.c_hidden, self.c_hidden, shortcut)
 
-    @property
-    def out_channels(self) -> int:
-        return self.cv2.out_channels
-
     def children(self) -> list[tuple[str, object]]:
         out: list[tuple[str, object]] = [("cv1", self.cv1)]
         out += [(f"m{i}", u) for i, u in enumerate(self.units)]
@@ -220,17 +245,8 @@ class C2F:
             ys.append(unit(ys[-1]))
         return self.cv2(concat_channels(ys))
 
-    __call__ = forward
 
-    def flops(self, h: int, w: int) -> float:
-        return (
-            self.cv1.flops(h, w)
-            + sum(u.flops(h, w) for u in self.units)
-            + self.cv2.flops(h, w)
-        )
-
-
-class C3K:
+class C3K(_Composite):
     """CSP block without the split: bottleneck chain plus a parallel bypass conv,
     concatenated and projected by the exit conv."""
 
@@ -251,10 +267,6 @@ class C3K:
         ]
         self.cv3 = ConvBlock.create(2 * c_hidden, c2, k=1)
 
-    @property
-    def out_channels(self) -> int:
-        return self.cv3.out_channels
-
     def children(self) -> list[tuple[str, object]]:
         out: list[tuple[str, object]] = [("cv1", self.cv1)]
         out += [(f"m{i}", u) for i, u in enumerate(self.units)]
@@ -266,16 +278,6 @@ class C3K:
         for unit in self.units:
             y = unit(y)
         return self.cv3(concat_channels([y, self.cv2(x)]))
-
-    __call__ = forward
-
-    def flops(self, h: int, w: int) -> float:
-        return (
-            self.cv1.flops(h, w)
-            + self.cv2.flops(h, w)
-            + sum(u.flops(h, w) for u in self.units)
-            + self.cv3.flops(h, w)
-        )
 
 
 class C3K2(C2F):
@@ -299,7 +301,7 @@ class C3K2(C2F):
         return super()._unit(shortcut)
 
 
-class SPPF:
+class SPPF(_Composite):
     """Spatial pyramid pooling (fast): three chained k=5 max-pools, concatenated
     with the pre-pool map and projected down. Equivalent to parallel 5/9/13
     pools by the receptive-field identity pool5(pool5(x)) == pool9(x)."""
@@ -312,10 +314,6 @@ class SPPF:
         self.cv1 = ConvBlock.create(c1, c_hidden, k=1)
         self.cv2 = ConvBlock.create(4 * c_hidden, c2, k=1)
 
-    @property
-    def out_channels(self) -> int:
-        return self.cv2.out_channels
-
     def children(self) -> list[tuple[str, object]]:
         return [("cv1", self.cv1), ("cv2", self.cv2)]
 
@@ -325,14 +323,11 @@ class SPPF:
             ys.append(maxpool2d(ys[-1], self.pool, 1, self.pool // 2))
         return self.cv2(concat_channels(ys))
 
-    __call__ = forward
-
-    def flops(self, h: int, w: int) -> float:
-        pool_f = 3 * (self.pool * self.pool - 1) * self.cv1.out_channels * h * w
-        return self.cv1.flops(h, w) + pool_f + self.cv2.flops(h, w)
+    def _own_flops(self, h: int, w: int) -> float:
+        return 3 * (self.pool * self.pool - 1) * self.cv1.out_channels * h * w
 
 
-class AttentionLayer:
+class AttentionLayer(_Composite):
     """Multi-head self-attention over spatial positions with a depthwise
     positional-encoding conv on the value path."""
 
@@ -349,10 +344,6 @@ class AttentionLayer:
         self.pe = ConvBlock.create(dim, dim, k=3, groups=dim, act="none")
         self.proj = ConvBlock.create(dim, dim, k=1, act="none")
 
-    @property
-    def out_channels(self) -> int:
-        return self.dim
-
     def children(self) -> list[tuple[str, object]]:
         return [("qkv", self.qkv), ("pe", self.pe), ("proj", self.proj)]
 
@@ -365,12 +356,6 @@ class AttentionLayer:
         v = qkv[:, :, 2 * self.key_dim :]
         return q, k, v
 
-    def attention_weights(self, x: Tensor) -> np.ndarray:
-        """Softmaxed attention matrix, shape (N, heads, HW, HW); rows sum to 1."""
-        q, k, _ = self._split_qkv(x)
-        scores = np.matmul(q.transpose(0, 1, 3, 2), k) * np.float32(self.scale)
-        return softmax_lastaxis(scores)
-
     def forward(self, x: Tensor) -> Tensor:
         b, c, h, w = x.shape
         q, k, v = self._split_qkv(x)
@@ -380,17 +365,13 @@ class AttentionLayer:
         pos = self.pe(Tensor._wrap(np.ascontiguousarray(v.reshape(b, c, h, w))))
         return self.proj(Tensor._wrap(mixed) + pos)
 
-    __call__ = forward
-
-    def flops(self, h: int, w: int) -> float:
+    def _own_flops(self, h: int, w: int) -> float:
         hw = h * w
-        f = self.qkv.flops(h, w) + self.pe.flops(h, w) + self.proj.flops(h, w)
         per_head = 2.0 * hw * hw * self.key_dim + 2.0 * hw * hw * self.head_dim
-        f += self.num_heads * (per_head + hw * hw * (1 + _SOFTMAX_COST))
-        return f
+        return self.num_heads * (per_head + hw * hw * (1 + _SOFTMAX_COST))
 
 
-class PSABlock:
+class PSABlock(_Composite):
     """Position-sensitive attention plus a two-conv feed-forward net, both with
     residual connections."""
 
@@ -399,10 +380,6 @@ class PSABlock:
         self.ffn1 = ConvBlock.create(c, 2 * c, k=1)
         self.ffn2 = ConvBlock.create(2 * c, c, k=1, act="none")
 
-    @property
-    def out_channels(self) -> int:
-        return self.ffn2.out_channels
-
     def children(self) -> list[tuple[str, object]]:
         return [("attn", self.attn), ("ffn1", self.ffn1), ("ffn2", self.ffn2)]
 
@@ -410,14 +387,11 @@ class PSABlock:
         y = x + self.attn(x)
         return y + self.ffn2(self.ffn1(y))
 
-    __call__ = forward
-
-    def flops(self, h: int, w: int) -> float:
-        f = self.attn.flops(h, w) + self.ffn1.flops(h, w) + self.ffn2.flops(h, w)
-        return f + 2 * self.out_channels * h * w  # two residual adds
+    def _own_flops(self, h: int, w: int) -> float:
+        return 2 * self.out_channels * h * w  # two residual adds
 
 
-class C2PSA:
+class C2PSA(_Composite):
     """CSP-wrapped attention: split the entry output, run PSA blocks on one
     half, concatenate, and project back to the input width."""
 
@@ -432,10 +406,6 @@ class C2PSA:
         self.units = [PSABlock(self.c_hidden, heads) for _ in range(n)]
         self.cv2 = ConvBlock.create(2 * self.c_hidden, c2, k=1)
 
-    @property
-    def out_channels(self) -> int:
-        return self.cv2.out_channels
-
     def children(self) -> list[tuple[str, object]]:
         out: list[tuple[str, object]] = [("cv1", self.cv1)]
         out += [(f"m{i}", u) for i, u in enumerate(self.units)]
@@ -447,15 +417,6 @@ class C2PSA:
         for unit in self.units:
             b = unit(b)
         return self.cv2(concat_channels([a, b]))
-
-    __call__ = forward
-
-    def flops(self, h: int, w: int) -> float:
-        return (
-            self.cv1.flops(h, w)
-            + sum(u.flops(h, w) for u in self.units)
-            + self.cv2.flops(h, w)
-        )
 
 
 def iter_leaf_blocks(block: object, prefix: str = "") -> Iterator[tuple[str, ConvBlock]]:

@@ -366,17 +366,18 @@ class ModelGraph:
 
         Missing or extra entries, dimension mismatches and a negative or
         non-finite running variance are rejected with the offending entry named.
+        Every entry is checked before any is set, so a rejected state leaves
+        the graph as it was.
         """
         provided = {}
         for name, arr in entries:
             if name in provided:
                 raise ValueError(f"duplicate weight entry {name!r}")
             provided[name] = arr
-        leaves = {path: leaf for path, leaf in self.named_leaf_blocks()}
         expected = [
-            (f"{path}.{suffix}", path, suffix, arr)
-            for path, leaf in leaves.items()
-            for suffix, arr in leaf.entries()
+            (f"{path}.{suffix}", leaf, suffix)
+            for path, leaf in self.named_leaf_blocks()
+            for suffix, _ in leaf.entries()
         ]
         expected_names = {name for name, *_ in expected}
         missing = sorted(expected_names - provided.keys())
@@ -385,17 +386,12 @@ class ModelGraph:
         extra = sorted(provided.keys() - expected_names)
         if extra:
             raise ValueError(f"weights file has unknown entry {extra[0]!r}")
-        for name, path, suffix, arr in expected:
-            value = provided[name]
-            if tuple(value.shape) != tuple(arr.shape):
-                raise ValueError(
-                    f"entry {name!r}: file shape {tuple(value.shape)} does not match "
-                    f"model shape {tuple(arr.shape)}"
-                )
-            try:
-                leaves[path].set_entry(suffix, value)
-            except ValueError as exc:
-                raise ValueError(f"entry {name!r}: {exc}") from None
+        checked = [
+            (leaf, suffix, leaf._check_entry(suffix, provided[name], name))
+            for name, leaf, suffix in expected
+        ]
+        for leaf, suffix, value in checked:
+            leaf._store(suffix, value)
         return self
 
 
@@ -410,13 +406,11 @@ def _build_blocks(
         froms_abs = tuple(index - 1 if f == -1 else f for f in froms)
         spec = LayerSpec(index, kind, froms_abs, dict(args))
         c_in = 3 if index == 0 else out_channels[froms_abs[0]]
+        c_out = scale_channels(args["c_out"], variant) if "c_out" in args else None
+        block: object | None = None
         if kind == "ConvBlock":
-            c_out = scale_channels(args["c_out"], variant)
-            block: object | None = ConvBlock.create(
-                c_in, c_out, k=args["k"], stride=args["stride"]
-            )
+            block = ConvBlock.create(c_in, c_out, k=args["k"], stride=args["stride"])
         elif kind == "C3K2":
-            c_out = scale_channels(args["c_out"], variant)
             block = C3K2(
                 c_in,
                 c_out,
@@ -425,26 +419,21 @@ def _build_blocks(
                 e=args["e"],
             )
         elif kind == "SPPF":
-            c_out = scale_channels(args["c_out"], variant)
             block = SPPF(c_in, c_out, pool=args["pool"])
         elif kind == "C2PSA":
-            c_out = scale_channels(args["c_out"], variant)
             block = C2PSA(c_in, c_out, n=scale_units(args["n"], variant))
-        elif kind == "Upsample":
-            c_out = c_in
-            block = None
-        elif kind == "Concat":
-            c_out = sum(out_channels[f] for f in froms_abs)
-            block = None
         elif kind == "DetectHead":
-            chs = [out_channels[f] for f in froms_abs]
-            block = DetectHead(chs, num_classes, reg_max)
-            c_out = block.out_channels
-        else:
+            block = DetectHead([out_channels[f] for f in froms_abs], num_classes, reg_max)
+        elif kind not in ("Upsample", "Concat"):
             raise ValueError(f"unknown layer kind {kind!r}")
         layers.append(spec)
         blocks.append(block)
-        out_channels.append(c_out)
+        if block is not None:
+            out_channels.append(block.out_channels)
+        elif kind == "Concat":
+            out_channels.append(sum(out_channels[f] for f in froms_abs))
+        else:  # Upsample keeps its input's width
+            out_channels.append(c_in)
     return layers, blocks, out_channels
 
 

@@ -115,14 +115,8 @@ def decode_head(
         cy = (idx // w + 0.5) * stride
         x1, y1 = cx - dists[0], cy - dists[1]
         x2, y2 = cx + dists[2], cy + dists[3]
-        for i in range(idx.size):
-            out.append(
-                Detection(
-                    class_id=int(class_ids[i]),
-                    score=float(scores[i]),
-                    box=(float(x1[i]), float(y1[i]), float(x2[i]), float(y2[i])),
-                )
-            )
+        boxes = zip(x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist())
+        out.extend(map(Detection, class_ids.tolist(), scores.tolist(), boxes))
     return out
 
 

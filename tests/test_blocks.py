@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tensor
+from y11 import blocks
 from y11.blocks import (
     C2F,
     C2PSA,
@@ -15,6 +16,7 @@ from y11.blocks import (
     PSABlock,
     iter_leaf_blocks,
 )
+from y11.graph import DetectHead, build_graph
 from y11.tensor import (
     BatchNormParams,
     ConvSpec,
@@ -23,6 +25,7 @@ from y11.tensor import (
     conv2d,
     maxpool2d,
     silu,
+    softmax_lastaxis,
 )
 
 
@@ -264,10 +267,18 @@ class TestAttention:
         want = attn.proj(v_map + attn.pe(v_map))
         assert np.max(np.abs(attn(x).data - want.data)) < 1e-6
 
-    def test_weights_sum_to_one(self):
+    def test_weights_sum_to_one(self, monkeypatch):
         attn = randomize(AttentionLayer(16, num_heads=2), 2)
         x = random_tensor(np.random.default_rng(3), 1, 16, 4, 4)
-        weights = attn.attention_weights(x)
+        captured = []
+
+        def capture(scores):
+            captured.append(softmax_lastaxis(scores))
+            return captured[-1]
+
+        monkeypatch.setattr(blocks, "softmax_lastaxis", capture)
+        attn(x)
+        (weights,) = captured
         assert weights.shape == (1, 2, 16, 16)
         assert np.max(np.abs(weights.sum(axis=-1) - 1.0)) < 1e-6
 
@@ -348,6 +359,27 @@ class TestC2PSA:
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="c_in == c_out"):
             C2PSA(16, 32, n=1)
+
+
+class TestCompositeWidth:
+    @pytest.mark.parametrize("variant", ["n", "m"])
+    def test_output_width_is_out_channels(self, variant):
+        # A composite's width is that of its last child in children(); run
+        # every composite of a graph and compare with what it really outputs.
+        rng = np.random.default_rng(13)
+        pending = [b for b in build_graph(variant).init_random(14).blocks if b is not None]
+        kinds = set()
+        while pending:
+            block = pending.pop()
+            if isinstance(block, ConvBlock):
+                continue
+            pending += [child for _, child in block.children()]
+            if isinstance(block, DetectHead):
+                continue
+            c_in = next(iter_leaf_blocks(block))[1].spec.in_channels
+            assert block(random_tensor(rng, 1, c_in, 8, 8)).c == block.out_channels
+            kinds.add(type(block).__name__)
+        assert {"Bottleneck", "C3K", "C3K2", "SPPF", "AttentionLayer", "PSABlock", "C2PSA"} <= kinds
 
 
 class TestDeterminism:

@@ -221,6 +221,24 @@ class TestCountFlops:
         assert abs(n - 6.5) / 6.5 < 0.15
         assert abs(s - 21.5) / 21.5 < 0.15
 
+    # Parameters and GFLOPs at 320 and 640 of each variant. Every count is an
+    # integer below 2**53, so the float sums are exact and compared with ==.
+    PINNED_COUNTS = {
+        "n": (2624064, 1.6456976, 6.6303104),
+        "s": (9458736, 5.4151984, 21.7558336),
+        "m": (20114672, 17.0900656, 68.4553024),
+        "l": (25372144, 21.8553104, 87.6113216),
+        "x": (56966160, 48.9175728, 195.9554112),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(PINNED_COUNTS))
+    def test_counts_pinned(self, variant):
+        g = build_graph(variant)
+        params, gflops_320, gflops_640 = self.PINNED_COUNTS[variant]
+        assert g.count_params() == params
+        assert g.count_flops(320) == gflops_320
+        assert g.count_flops(640) == gflops_640
+
     def test_indivisible_size_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             build_graph("n").count_flops(100)
@@ -356,6 +374,22 @@ class TestLoadState:
         with pytest.raises(ValueError, match="variance"):
             leaf.set_entry("var", var)
         assert np.all(leaf.bn.var == 1.0)
+
+    @pytest.mark.parametrize("name", ["layer5.var", "layer23.cls2.4.bias"])
+    def test_rejected_state_changes_nothing(self, name):
+        # A negative variance, or a bias of the wrong shape, comes after
+        # entries that differ from the graph's own; none of them may be set.
+        g = build_graph("n").init_random(1)
+        before = [(n, arr.tobytes()) for n, arr in g.state_entries()]
+        entries = build_graph("n").init_random(2).state_entries()
+        i = next(i for i, (n, _) in enumerate(entries) if n == name)
+        if name.endswith(".var"):
+            entries[i] = (name, np.full_like(entries[i][1], -1.0))
+        else:
+            entries[i] = (name, np.zeros(3, dtype=np.float32))
+        with pytest.raises(ValueError, match=name.replace(".", r"\.")):
+            g.load_state(entries)
+        assert [(n, arr.tobytes()) for n, arr in g.state_entries()] == before
 
     def test_duplicate_entry_rejected(self):
         entries = build_graph("n").state_entries()

@@ -106,6 +106,10 @@ class TestDecodeHead:
         ]
         dets = decode_head(tensors, [8, 16, 32], 16, 80, 0.0)
         assert len(dets) == 8 * 8 + 4 * 4 + 2 * 2
+        # Records hold Python scalars, not numpy ones.
+        for d in dets:
+            assert type(d.class_id) is int and type(d.score) is float
+            assert type(d.box) is tuple and all(type(v) is float for v in d.box)
 
 
 def random_candidates(rng, count, classes=3, span=40.0):
