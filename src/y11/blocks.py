@@ -7,6 +7,10 @@ weight-file entries, and the last child is its exit, so its width, its call
 and its FLOPs (the children's plus its own arithmetic) follow from that list.
 Parameter traversal for counting, initialization and weight files goes
 through ``children()`` / ``iter_leaf_blocks``.
+
+YOLOv11 fixes their internals, so these are constants, not arguments: 3x3
+residual bottlenecks, a C3K hidden width of half its output, k=5 SPPF pools,
+attention keys half a head wide, and a C2PSA as wide out as in.
 """
 from __future__ import annotations
 
@@ -45,6 +49,8 @@ __all__ = [
 # out_elems each, sigmoid costs 3 per element and silu 4.
 _SILU_COST = 4
 _SOFTMAX_COST = 5
+
+_SPPF_POOL = 5  # kernel of each of SPPF's three chained max-pools
 
 
 class ConvBlock:
@@ -190,48 +196,37 @@ class _Composite:
 
 
 class Bottleneck(_Composite):
-    """Two conv blocks with an optional identity shortcut."""
+    """Two 3x3 conv blocks, c -> int(c * e) -> c, plus the input: x + cv2(cv1(x))."""
 
-    def __init__(
-        self,
-        c1: int,
-        c2: int,
-        shortcut: bool = True,
-        k: tuple[int, int] = (3, 3),
-        e: float = 0.5,
-    ) -> None:
-        c_hidden = int(c2 * e)
-        self.cv1 = ConvBlock.create(c1, c_hidden, k=k[0])
-        self.cv2 = ConvBlock.create(c_hidden, c2, k=k[1])
-        self.add = shortcut and c1 == c2
-        if shortcut and c1 != c2:
-            raise ValueError(f"shortcut requires matching channels, got {c1} vs {c2}")
+    def __init__(self, c: int, e: float = 0.5) -> None:
+        c_hidden = int(c * e)
+        self.cv1 = ConvBlock.create(c, c_hidden, k=3)
+        self.cv2 = ConvBlock.create(c_hidden, c, k=3)
 
     def children(self) -> list[tuple[str, object]]:
         return [("cv1", self.cv1), ("cv2", self.cv2)]
 
     def forward(self, x: Tensor) -> Tensor:
-        y = self.cv2(self.cv1(x))
-        return x + y if self.add else y
+        return x + self.cv2(self.cv1(x))
 
     def _own_flops(self, h: int, w: int) -> float:
-        return self.out_channels * h * w if self.add else 0.0
+        return self.out_channels * h * w
 
 
 class C2F(_Composite):
     """CSP block: split the entry output in half, chain bottlenecks on one half,
     concatenate every intermediate, and project back down with a 1x1 conv."""
 
-    def __init__(self, c1: int, c2: int, n: int, shortcut: bool = True, e: float = 0.5) -> None:
+    def __init__(self, c1: int, c2: int, n: int, e: float = 0.5) -> None:
         self.c_hidden = int(c2 * e)
         if self.c_hidden < 1:
             raise ValueError("hidden channel count must be positive")
         self.cv1 = ConvBlock.create(c1, 2 * self.c_hidden, k=1)
-        self.units = [self._unit(shortcut) for _ in range(n)]
+        self.units = [self._unit() for _ in range(n)]
         self.cv2 = ConvBlock.create((2 + n) * self.c_hidden, c2, k=1)
 
-    def _unit(self, shortcut: bool) -> object:
-        return Bottleneck(self.c_hidden, self.c_hidden, shortcut)
+    def _unit(self) -> object:
+        return Bottleneck(self.c_hidden)
 
     def children(self) -> list[tuple[str, object]]:
         out: list[tuple[str, object]] = [("cv1", self.cv1)]
@@ -250,21 +245,11 @@ class C3K(_Composite):
     """CSP block without the split: bottleneck chain plus a parallel bypass conv,
     concatenated and projected by the exit conv."""
 
-    def __init__(
-        self,
-        c1: int,
-        c2: int,
-        n: int,
-        shortcut: bool = True,
-        e: float = 0.5,
-        k: int = 3,
-    ) -> None:
-        c_hidden = int(c2 * e)
+    def __init__(self, c1: int, c2: int, n: int) -> None:
+        c_hidden = c2 // 2
         self.cv1 = ConvBlock.create(c1, c_hidden, k=1)
         self.cv2 = ConvBlock.create(c1, c_hidden, k=1)  # entry bypass
-        self.units = [
-            Bottleneck(c_hidden, c_hidden, shortcut, k=(k, k), e=1.0) for _ in range(n)
-        ]
+        self.units = [Bottleneck(c_hidden, e=1.0) for _ in range(n)]
         self.cv3 = ConvBlock.create(2 * c_hidden, c2, k=1)
 
     def children(self) -> list[tuple[str, object]]:
@@ -283,22 +268,14 @@ class C3K(_Composite):
 class C3K2(C2F):
     """C2F topology whose inner units are either plain bottlenecks or C3K blocks."""
 
-    def __init__(
-        self,
-        c1: int,
-        c2: int,
-        n: int,
-        c3k: bool = False,
-        e: float = 0.5,
-        shortcut: bool = True,
-    ) -> None:
+    def __init__(self, c1: int, c2: int, n: int, c3k: bool = False, e: float = 0.5) -> None:
         self.c3k = c3k  # read by _unit while C2F.__init__ builds the units
-        super().__init__(c1, c2, n, shortcut, e)
+        super().__init__(c1, c2, n, e)
 
-    def _unit(self, shortcut: bool) -> object:
+    def _unit(self) -> object:
         if self.c3k:
-            return C3K(self.c_hidden, self.c_hidden, 2, shortcut)
-        return super()._unit(shortcut)
+            return C3K(self.c_hidden, self.c_hidden, 2)
+        return super()._unit()
 
 
 class SPPF(_Composite):
@@ -306,10 +283,9 @@ class SPPF(_Composite):
     with the pre-pool map and projected down. Equivalent to parallel 5/9/13
     pools by the receptive-field identity pool5(pool5(x)) == pool9(x)."""
 
-    def __init__(self, c1: int, c2: int, pool: int = 5) -> None:
+    def __init__(self, c1: int, c2: int) -> None:
         if c1 % 2:
             raise ValueError(f"SPPF input channels must be even, got {c1}")
-        self.pool = pool
         c_hidden = c1 // 2
         self.cv1 = ConvBlock.create(c1, c_hidden, k=1)
         self.cv2 = ConvBlock.create(4 * c_hidden, c2, k=1)
@@ -320,24 +296,24 @@ class SPPF(_Composite):
     def forward(self, x: Tensor) -> Tensor:
         ys = [self.cv1(x)]
         for _ in range(3):
-            ys.append(maxpool2d(ys[-1], self.pool, 1, self.pool // 2))
+            ys.append(maxpool2d(ys[-1], _SPPF_POOL, 1, _SPPF_POOL // 2))
         return self.cv2(concat_channels(ys))
 
     def _own_flops(self, h: int, w: int) -> float:
-        return 3 * (self.pool * self.pool - 1) * self.cv1.out_channels * h * w
+        return 3 * (_SPPF_POOL * _SPPF_POOL - 1) * self.cv1.out_channels * h * w
 
 
 class AttentionLayer(_Composite):
     """Multi-head self-attention over spatial positions with a depthwise
     positional-encoding conv on the value path."""
 
-    def __init__(self, dim: int, num_heads: int, attn_ratio: float = 0.5) -> None:
+    def __init__(self, dim: int, num_heads: int) -> None:
         if dim % num_heads:
             raise ValueError(f"channels ({dim}) must divide evenly into {num_heads} heads")
         self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
-        self.key_dim = int(self.head_dim * attn_ratio)
+        self.key_dim = self.head_dim // 2
         self.scale = self.key_dim**-0.5
         qk = self.key_dim * num_heads
         self.qkv = ConvBlock.create(dim, dim + 2 * qk, k=1, act="none")
@@ -392,19 +368,17 @@ class PSABlock(_Composite):
 
 
 class C2PSA(_Composite):
-    """CSP-wrapped attention: split the entry output, run PSA blocks on one
-    half, concatenate, and project back to the input width."""
+    """CSP-wrapped attention that keeps its width c: split the entry output in
+    halves, run PSA blocks on one half, concatenate, and project back to c."""
 
-    def __init__(self, c1: int, c2: int, n: int, e: float = 0.5) -> None:
-        if c1 != c2:
-            raise ValueError(f"C2PSA requires c_in == c_out, got {c1} vs {c2}")
-        self.c_hidden = int(c1 * e)
+    def __init__(self, c: int, n: int) -> None:
+        self.c_hidden = c // 2
         if self.c_hidden < 1:
             raise ValueError("hidden channel count must be positive")
-        self.cv1 = ConvBlock.create(c1, 2 * self.c_hidden, k=1)
+        self.cv1 = ConvBlock.create(c, 2 * self.c_hidden, k=1)
         heads = max(1, self.c_hidden // 64)
         self.units = [PSABlock(self.c_hidden, heads) for _ in range(n)]
-        self.cv2 = ConvBlock.create(2 * self.c_hidden, c2, k=1)
+        self.cv2 = ConvBlock.create(2 * self.c_hidden, c, k=1)
 
     def children(self) -> list[tuple[str, object]]:
         out: list[tuple[str, object]] = [("cv1", self.cv1)]

@@ -43,10 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common_model(p):
         p.add_argument("--variant", choices=("n", "s", "m", "l", "x"), default="n")
         p.add_argument("--size", type=_size, default=640, help="square input size, multiple of 32")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("infer", help="run detection on one PPM image")
     common_model(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("image", help="binary PPM (P6) input image")
     p.add_argument("--config", help="model config file (key = value lines)")
     p.add_argument("--weights", help="weights container; omitted = seeded random init")
@@ -65,6 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="three-phase latency benchmark on synthetic input")
     common_model(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--warmup", type=int, default=2)
     p.add_argument("--conf", type=_fraction, default=0.25)
@@ -135,8 +136,9 @@ def cmd_infer(args) -> int:
         )
         for d in dets
     ]
+    text = write_detections(dump)  # before opening --out, so a refusal leaves no file
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(write_detections(dump))
+        fh.write(text)
 
     if args.format == "json":
         record = {

@@ -54,7 +54,7 @@ _DEEP_C3K_VARIANTS = ("m", "l", "x")
 # Base (unscaled) layer plan. froms use -1 for the previous layer; channel
 # widths and unit counts are scaled per variant at build time. The early
 # C3K2 stages run at a narrower hidden ratio, which keeps the compute of the
-# high-resolution stages in budget.
+# high-resolution stages in budget. C2PSA keeps its input width.
 _BASE_LAYERS: list[tuple[str, list[int], dict]] = [
     ("ConvBlock", [-1], dict(c_out=64, k=3, stride=2)),           # 0  P1/2
     ("ConvBlock", [-1], dict(c_out=128, k=3, stride=2)),          # 1  P2/4
@@ -65,8 +65,8 @@ _BASE_LAYERS: list[tuple[str, list[int], dict]] = [
     ("C3K2", [-1], dict(c_out=512, n=2, c3k=True, e=0.5)),        # 6
     ("ConvBlock", [-1], dict(c_out=1024, k=3, stride=2)),         # 7  P5/32
     ("C3K2", [-1], dict(c_out=1024, n=2, c3k=True, e=0.5)),       # 8
-    ("SPPF", [-1], dict(c_out=1024, pool=5)),                     # 9
-    ("C2PSA", [-1], dict(c_out=1024, n=2)),                       # 10
+    ("SPPF", [-1], dict(c_out=1024)),                             # 9
+    ("C2PSA", [-1], dict(n=2)),                                   # 10
     ("Upsample", [-1], {}),                                       # 11
     ("Concat", [-1, 6], {}),                                      # 12
     ("C3K2", [-1], dict(c_out=512, n=2, c3k=False, e=0.5)),       # 13
@@ -87,12 +87,11 @@ STRIDES = (8, 16, 32)
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One assembled layer: kind, resolved input indices, realized arguments."""
+    """One assembled layer: kind and resolved input indices."""
 
     index: int
     kind: str
     froms: tuple[int, ...]
-    args: dict
 
     def __post_init__(self) -> None:
         for f in self.froms:
@@ -265,8 +264,6 @@ class ModelGraph:
             )
         return self._walk(image, _run_layer)
 
-    __call__ = forward
-
     # -- parameter traversal ----------------------------------------------
 
     def named_leaf_blocks(self) -> Iterator[tuple[str, ConvBlock]]:
@@ -404,7 +401,7 @@ def _build_blocks(
     out_channels: list[int] = []
     for index, (kind, froms, args) in enumerate(_BASE_LAYERS):
         froms_abs = tuple(index - 1 if f == -1 else f for f in froms)
-        spec = LayerSpec(index, kind, froms_abs, dict(args))
+        spec = LayerSpec(index, kind, froms_abs)
         c_in = 3 if index == 0 else out_channels[froms_abs[0]]
         c_out = scale_channels(args["c_out"], variant) if "c_out" in args else None
         block: object | None = None
@@ -419,9 +416,9 @@ def _build_blocks(
                 e=args["e"],
             )
         elif kind == "SPPF":
-            block = SPPF(c_in, c_out, pool=args["pool"])
+            block = SPPF(c_in, c_out)
         elif kind == "C2PSA":
-            block = C2PSA(c_in, c_out, n=scale_units(args["n"], variant))
+            block = C2PSA(c_in, n=scale_units(args["n"], variant))
         elif kind == "DetectHead":
             block = DetectHead([out_channels[f] for f in froms_abs], num_classes, reg_max)
         elif kind not in ("Upsample", "Concat"):

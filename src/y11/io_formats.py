@@ -301,9 +301,12 @@ class DumpDetection:
 
 
 def write_detections(dets: Sequence[DumpDetection]) -> str:
-    """Serialize detections as a JSON array with fixed 6-decimal floats."""
+    """Serialize detections as a JSON array with fixed 6-decimal floats. JSON
+    has no NaN or infinity, so a non-finite bbox value or score is refused."""
     lines = []
-    for d in dets:
+    for k, d in enumerate(dets):
+        if not all(map(math.isfinite, (*d.bbox, d.score))):
+            raise FormatError(f"detections: record {k} has a non-finite bbox or score: {d!r}")
         bbox = ", ".join(f"{v:.6f}" for v in d.bbox)
         lines.append(
             f'  {{"image_id": {d.image_id}, "category_id": {d.category_id}, '

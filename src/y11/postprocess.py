@@ -9,8 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor, softmax_lastaxis
-from .tensor import _sigmoid_array as _sigmoid
+from .tensor import Tensor, sigmoid, softmax_lastaxis
 
 __all__ = [
     "LetterboxMeta",
@@ -99,12 +98,12 @@ def decode_head(
         best_logit = cls_logits.max(axis=0)
         # sigmoid is monotone, so thresholding logits first avoids computing
         # scores for discarded cells
-        keep = _sigmoid(best_logit) > conf_thresh
+        keep = sigmoid(best_logit) > conf_thresh
         if not np.any(keep):
             continue
         idx = np.flatnonzero(keep)
         class_ids = cls_logits[:, idx].argmax(axis=0)
-        scores = _sigmoid(cls_logits[class_ids, idx])
+        scores = sigmoid(cls_logits[class_ids, idx])
 
         dist_logits = flat[: 4 * reg_max, idx].reshape(4, reg_max, idx.size)
         probs = softmax_lastaxis(dist_logits.transpose(0, 2, 1))

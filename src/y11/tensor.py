@@ -62,14 +62,6 @@ class Tensor:
         t.data = arr
         return t
 
-    @classmethod
-    def zeros(cls, n: int, c: int, h: int, w: int) -> "Tensor":
-        return cls._wrap(np.zeros((n, c, h, w), dtype=np.float32))
-
-    @classmethod
-    def full(cls, n: int, c: int, h: int, w: int, value: float) -> "Tensor":
-        return cls._wrap(np.full((n, c, h, w), value, dtype=np.float32))
-
     @property
     def n(self) -> int:
         return self.data.shape[0]
@@ -112,8 +104,8 @@ def conv_output_dim(d: int, k: int, stride: int, padding: int) -> int:
 class ConvSpec:
     """Geometry plus parameters of one 2-D convolution.
 
-    Constraints: square kernel of size 1 or 3, stride 1 or 2, shape-preserving
-    padding k//2. Weight layout is
+    Constraints: square kernel of size 1 or 3, stride 1 or 2; `padding` is not
+    a field but always the shape-preserving k//2. Weight layout is
     (out_channels, in_channels // groups, k, k); bias is optional.
     """
 
@@ -121,7 +113,6 @@ class ConvSpec:
     out_channels: int
     kernel: int
     stride: int = 1
-    padding: int | None = None
     groups: int = 1
     weight: np.ndarray | None = None
     bias: np.ndarray | None = None
@@ -131,10 +122,6 @@ class ConvSpec:
             raise ValueError(f"kernel must be 1 or 3, got {self.kernel}")
         if self.stride not in (1, 2):
             raise ValueError(f"stride must be 1 or 2, got {self.stride}")
-        if self.padding is None:
-            self.padding = self.kernel // 2
-        if self.padding != self.kernel // 2:
-            raise ValueError(f"padding must be kernel//2 = {self.kernel // 2}, got {self.padding}")
         if self.groups < 1:
             raise ValueError("groups must be positive")
         if self.in_channels % self.groups or self.out_channels % self.groups:
@@ -155,6 +142,10 @@ class ConvSpec:
                 raise ValueError(
                     f"bias shape {self.bias.shape} does not match ({self.out_channels},)"
                 )
+
+    @property
+    def padding(self) -> int:
+        return self.kernel // 2
 
 
 @dataclass
@@ -280,16 +271,16 @@ def fold_batchnorm(spec: ConvSpec, bn: BatchNormParams) -> ConvSpec:
         out_channels=spec.out_channels,
         kernel=spec.kernel,
         stride=spec.stride,
-        padding=spec.padding,
         groups=spec.groups,
         weight=weight.astype(np.float32),
         bias=bias.astype(np.float32),
     )
 
 
-def _sigmoid_array(a: np.ndarray) -> np.ndarray:
-    # 1 / (1 + exp(-a)) in one fresh buffer. Where exp(-a) overflows to inf the
-    # reciprocal is exactly 0, the correct limit, so the overflow is silenced.
+def sigmoid(a: np.ndarray) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-a)) of a float array, as a new array; image in
+    [0, 1]. Where exp(-a) overflows to inf the reciprocal is exactly 0, the
+    correct limit, so the overflow is silenced."""
     e = np.negative(a)
     with np.errstate(over="ignore"):
         np.exp(e, out=e)
@@ -297,14 +288,9 @@ def _sigmoid_array(a: np.ndarray) -> np.ndarray:
     return np.reciprocal(e, out=e)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Elementwise logistic function, 1 / (1 + exp(-x)); image in (0, 1)."""
-    return Tensor._wrap(_sigmoid_array(x.data))
-
-
 def silu(x: Tensor) -> Tensor:
     """Elementwise x * sigmoid(x)."""
-    out = _sigmoid_array(x.data)
+    out = sigmoid(x.data)
     out *= x.data
     return Tensor._wrap(out)
 

@@ -118,7 +118,7 @@ def _zero_learnables(block):
 def test_criterion_04_residual_identities():
     rng = np.random.default_rng(44)
 
-    bottleneck = _zero_learnables(Bottleneck(8, 8, shortcut=True))
+    bottleneck = _zero_learnables(Bottleneck(8))
     x = random_tensor(rng, 1, 8, 6, 6)
     assert np.array_equal(bottleneck(x).data, x.data)
 
@@ -126,7 +126,7 @@ def test_criterion_04_residual_identities():
     x = random_tensor(rng, 1, 16, 4, 4)
     assert np.array_equal(psa(x).data, x.data)
 
-    c2psa = C2PSA(16, 16, n=2)
+    c2psa = C2PSA(16, n=2)
     rng2 = np.random.default_rng(45)
     for _, leaf in iter_leaf_blocks(c2psa):
         leaf.set_entry("weight",

@@ -77,6 +77,21 @@ class TestInfer:
         assert "layer0.var" in err and "variance" in err
         assert not out.exists()
 
+    def test_nan_weights_is_data_error(self, small_ppm, tmp_path, capsys):
+        from y11.graph import build_graph
+
+        entries = build_graph("n").init_random(9).state_entries()
+        entries = [(n, np.full_like(a, np.nan) if n == "layer23.box0.2.bias" else a)
+                   for n, a in entries]
+        wpath = tmp_path / "nanbias.y11w"
+        wpath.write_bytes(write_weights(entries))
+        out = tmp_path / "dets.json"
+        code, stdout, err = run(capsys, "infer", str(small_ppm), "--size", "64",
+                                "--weights", str(wpath), "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert "non-finite" in err
+        assert not out.exists()
+
     def test_json_format_schema(self, small_ppm, tmp_path, capsys):
         code, stdout, _ = run(capsys, "infer", str(small_ppm), "--size", "64",
                               "--format", "json", "--out", str(tmp_path / "d.json"))
@@ -290,6 +305,10 @@ class TestSummary:
         assert code == 0
         assert "DetectHead" in stdout
         assert "GFLOPs" in stdout
+
+    def test_seed_is_not_a_summary_flag(self, capsys):
+        code, _, err = run(capsys, "summary", "--variant", "n", "--seed", "3")
+        assert code == 1 and "--seed" in err
 
 
 class TestExitCodes:

@@ -206,6 +206,15 @@ class TestDetectionDump:
         dets = [DumpDetection(0, 1, (1.0, 2.0, 3.0, 4.0), 0.5)]
         assert write_detections(dets) == write_detections(dets)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", range(5))  # bbox x, y, w, h, then score
+    def test_non_finite_refused(self, bad, field):
+        values = [1.0, 2.0, 3.0, 4.0, 0.5]
+        values[field] = bad
+        good = DumpDetection(0, 1, (1.0, 2.0, 3.0, 4.0), 0.5)
+        with pytest.raises(FormatError, match="record 1 has a non-finite"):
+            write_detections([good, DumpDetection(7, 1, tuple(values[:4]), values[4])])
+
     def test_score_range_enforced(self):
         with pytest.raises(FormatError, match="score"):
             read_detections('[{"image_id": 0, "category_id": 0, "bbox": [0,0,1,1], "score": 1.5}]')

@@ -20,7 +20,7 @@ class TestLetterbox:
     def test_downscale_tall_pad(self):
         # 960x1280 (h x w) image at target 640: scale 0.5, resized 480 tall,
         # so 80 px of padding above and below.
-        image = Tensor.zeros(1, 3, 960, 1280)
+        image = Tensor(np.zeros((1, 3, 960, 1280)))
         boxed, meta = letterbox(image, 640)
         assert boxed.shape == (1, 3, 640, 640)
         assert meta.scale == 0.5
@@ -38,14 +38,14 @@ class TestLetterbox:
 
     def test_narrow_image_centered(self):
         # 640x320 (h x w): scale stays 1, width padded 160 on each side.
-        image = Tensor.zeros(1, 3, 640, 320)
+        image = Tensor(np.zeros((1, 3, 640, 320)))
         boxed, meta = letterbox(image, 640)
         assert meta.scale == 1.0
         assert (meta.pad_left, meta.pad_top) == (160, 0)
         assert np.all(boxed.data[:, :, :, :160] == np.float32(PAD_VALUE))
 
     def test_box_roundtrip_within_half_pixel(self):
-        meta = letterbox(Tensor.zeros(1, 3, 719, 405), 640)[1]
+        meta = letterbox(Tensor(np.zeros((1, 3, 719, 405))), 640)[1]
         for x, y in [(0.0, 0.0), (404.0, 718.0), (123.4, 567.8)]:
             bx = x * meta.scale + meta.pad_left
             by = y * meta.scale + meta.pad_top
@@ -94,7 +94,7 @@ class TestDecodeHead:
         assert det.box[2] - det.box[0] == pytest.approx(2 * 7.5 * 8, abs=0)
 
     def test_channel_mismatch(self):
-        t = Tensor.zeros(1, 100, 2, 2)
+        t = Tensor(np.zeros((1, 100, 2, 2)))
         with pytest.raises(ValueError, match="channels"):
             decode_head([t], [8], 16, 80, 0.25)
 
