@@ -9,8 +9,9 @@ Parameter traversal for counting, initialization and weight files goes
 through ``children()`` / ``iter_leaf_blocks``.
 
 YOLOv11 fixes their internals, so these are constants, not arguments: 3x3
-residual bottlenecks, a C3K hidden width of half its output, k=5 SPPF pools,
-attention keys half a head wide, and a C2PSA as wide out as in.
+residual bottlenecks, a C3K of two bottlenecks at half its width, k=5 SPPF
+pools, attention keys half a head wide, and C3K, SPPF and C2PSA as wide out
+as in. Every ConvBlock.create leaf has batch-norm and no bias.
 """
 from __future__ import annotations
 
@@ -77,27 +78,12 @@ class ConvBlock:
 
     @classmethod
     def create(
-        cls,
-        c_in: int,
-        c_out: int,
-        k: int = 1,
-        stride: int = 1,
-        groups: int = 1,
-        act: str = "silu",
-        with_bn: bool = True,
-        with_bias: bool = False,
+        cls, c_in: int, c_out: int, k: int = 1, stride: int = 1, groups: int = 1, act: str = "silu"
     ) -> "ConvBlock":
-        """Zero-initialized block; init_random or load_weights fills it in."""
-        spec = ConvSpec(
-            in_channels=c_in,
-            out_channels=c_out,
-            kernel=k,
-            stride=stride,
-            groups=groups,
-            bias=np.zeros(c_out, dtype=np.float32) if with_bias else None,
-        )
-        bn = BatchNormParams.identity(c_out) if with_bn else None
-        return cls(spec, bn, act)
+        """Zero-initialized conv with identity batch-norm and no bias;
+        init_random or load_state fills it in."""
+        spec = ConvSpec(in_channels=c_in, out_channels=c_out, kernel=k, stride=stride, groups=groups)
+        return cls(spec, BatchNormParams.identity(c_out), act)
 
     @property
     def out_channels(self) -> int:
@@ -242,15 +228,16 @@ class C2F(_Composite):
 
 
 class C3K(_Composite):
-    """CSP block without the split: bottleneck chain plus a parallel bypass conv,
-    concatenated and projected by the exit conv."""
+    """CSP block without the split that keeps its width c: a chain of two
+    bottlenecks plus a parallel bypass conv, concatenated and projected by the
+    exit conv."""
 
-    def __init__(self, c1: int, c2: int, n: int) -> None:
-        c_hidden = c2 // 2
-        self.cv1 = ConvBlock.create(c1, c_hidden, k=1)
-        self.cv2 = ConvBlock.create(c1, c_hidden, k=1)  # entry bypass
-        self.units = [Bottleneck(c_hidden, e=1.0) for _ in range(n)]
-        self.cv3 = ConvBlock.create(2 * c_hidden, c2, k=1)
+    def __init__(self, c: int) -> None:
+        c_hidden = c // 2
+        self.cv1 = ConvBlock.create(c, c_hidden, k=1)
+        self.cv2 = ConvBlock.create(c, c_hidden, k=1)  # entry bypass
+        self.units = [Bottleneck(c_hidden, e=1.0) for _ in range(2)]
+        self.cv3 = ConvBlock.create(2 * c_hidden, c, k=1)
 
     def children(self) -> list[tuple[str, object]]:
         out: list[tuple[str, object]] = [("cv1", self.cv1)]
@@ -274,21 +261,22 @@ class C3K2(C2F):
 
     def _unit(self) -> object:
         if self.c3k:
-            return C3K(self.c_hidden, self.c_hidden, 2)
+            return C3K(self.c_hidden)
         return super()._unit()
 
 
 class SPPF(_Composite):
-    """Spatial pyramid pooling (fast): three chained k=5 max-pools, concatenated
-    with the pre-pool map and projected down. Equivalent to parallel 5/9/13
-    pools by the receptive-field identity pool5(pool5(x)) == pool9(x)."""
+    """Spatial pyramid pooling (fast) that keeps its width c: three chained k=5
+    max-pools, concatenated with the pre-pool map and projected back to c.
+    Equivalent to parallel 5/9/13 pools by the receptive-field identity
+    pool5(pool5(x)) == pool9(x)."""
 
-    def __init__(self, c1: int, c2: int) -> None:
-        if c1 % 2:
-            raise ValueError(f"SPPF input channels must be even, got {c1}")
-        c_hidden = c1 // 2
-        self.cv1 = ConvBlock.create(c1, c_hidden, k=1)
-        self.cv2 = ConvBlock.create(4 * c_hidden, c2, k=1)
+    def __init__(self, c: int) -> None:
+        if c % 2:
+            raise ValueError(f"SPPF input channels must be even, got {c}")
+        c_hidden = c // 2
+        self.cv1 = ConvBlock.create(c, c_hidden, k=1)
+        self.cv2 = ConvBlock.create(4 * c_hidden, c, k=1)
 
     def children(self) -> list[tuple[str, object]]:
         return [("cv1", self.cv1), ("cv2", self.cv2)]
@@ -310,7 +298,6 @@ class AttentionLayer(_Composite):
     def __init__(self, dim: int, num_heads: int) -> None:
         if dim % num_heads:
             raise ValueError(f"channels ({dim}) must divide evenly into {num_heads} heads")
-        self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
         self.key_dim = self.head_dim // 2

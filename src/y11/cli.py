@@ -203,6 +203,11 @@ def cmd_eval(args) -> int:
 
     names = {c.id: c.name for c in anns.categories}
     t_lo = report.thresholds[0]
+    rows = []  # (class id, name, AP at the first threshold, AP mean over the sweep)
+    for cid in report.class_ids:
+        ap, n = report.ap[cid], len(report.thresholds)
+        ap_mean = None if ap[t_lo] is None else sum(ap[t] for t in report.thresholds) / n
+        rows.append((cid, names.get(cid, str(cid)), ap[t_lo], ap_mean))
     if args.format == "json":
         record = {
             "schema": "y11.eval/1",
@@ -214,29 +219,18 @@ def cmd_eval(args) -> int:
             "f1": report.f1,
             "operating_conf": report.operating_conf,
             "per_class": {
-                str(cid): {
-                    "name": names.get(cid, str(cid)),
-                    f"ap{int(t_lo * 100)}": report.ap[cid][t_lo],
-                    "ap_mean": (
-                        None
-                        if report.ap[cid][t_lo] is None
-                        else sum(report.ap[cid][t] for t in report.thresholds)
-                        / len(report.thresholds)
-                    ),
-                }
-                for cid in report.class_ids
+                str(cid): {"name": name, f"ap{int(t_lo * 100)}": ap_lo, "ap_mean": ap_mean}
+                for cid, name, ap_lo, ap_mean in rows
             },
         }
         print(json.dumps(record))
     else:
         print(f"{'class':>6}  {'name':<16} {'AP@' + format(t_lo, '.2f'):>8}  {'AP mean':>8}")
-        for cid in report.class_ids:
-            ap_lo = report.ap[cid][t_lo]
+        for cid, name, ap_lo, ap_mean in rows:
             if ap_lo is None:
-                print(f"{cid:>6}  {names.get(cid, str(cid)):<16} {'n/a':>8}  {'n/a':>8}")
+                print(f"{cid:>6}  {name:<16} {'n/a':>8}  {'n/a':>8}")
             else:
-                ap_mean = sum(report.ap[cid][t] for t in report.thresholds) / len(report.thresholds)
-                print(f"{cid:>6}  {names.get(cid, str(cid)):<16} {ap_lo:>8.4f}  {ap_mean:>8.4f}")
+                print(f"{cid:>6}  {name:<16} {ap_lo:>8.4f}  {ap_mean:>8.4f}")
         print(f"mAP@{t_lo:.2f}: {report.map50:.6f}")
         print(f"mAP@[{t_lo:.2f}:{report.thresholds[-1]:.2f}]: {report.map5095:.6f}")
         print(

@@ -7,13 +7,13 @@ inference and FLOP accounting share one layer walker.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .blocks import C2PSA, C3K2, SPPF, ConvBlock, iter_leaf_blocks
-from .tensor import Tensor, concat_channels, upsample_nearest2x
+from .tensor import ConvSpec, Tensor, concat_channels, upsample_nearest2x
 
 __all__ = [
     "VariantSpec",
@@ -52,35 +52,38 @@ VARIANTS: dict[str, VariantSpec] = {
 _DEEP_C3K_VARIANTS = ("m", "l", "x")
 
 # Base (unscaled) layer plan. froms use -1 for the previous layer; channel
-# widths and unit counts are scaled per variant at build time. The early
-# C3K2 stages run at a narrower hidden ratio, which keeps the compute of the
-# high-resolution stages in budget. C2PSA keeps its input width.
+# widths are scaled per variant at build time. Every ConvBlock layer is a 3x3
+# stride-2 downsample, and every C3K2 and C2PSA layer has _BASE_UNITS inner
+# units before depth scaling. The early C3K2 stages run at a narrower hidden
+# ratio, which keeps the compute of the high-resolution stages in budget.
+# SPPF and C2PSA keep their input width.
 _BASE_LAYERS: list[tuple[str, list[int], dict]] = [
-    ("ConvBlock", [-1], dict(c_out=64, k=3, stride=2)),           # 0  P1/2
-    ("ConvBlock", [-1], dict(c_out=128, k=3, stride=2)),          # 1  P2/4
-    ("C3K2", [-1], dict(c_out=256, n=2, c3k=False, e=0.25)),      # 2
-    ("ConvBlock", [-1], dict(c_out=256, k=3, stride=2)),          # 3  P3/8
-    ("C3K2", [-1], dict(c_out=512, n=2, c3k=False, e=0.25)),      # 4
-    ("ConvBlock", [-1], dict(c_out=512, k=3, stride=2)),          # 5  P4/16
-    ("C3K2", [-1], dict(c_out=512, n=2, c3k=True, e=0.5)),        # 6
-    ("ConvBlock", [-1], dict(c_out=1024, k=3, stride=2)),         # 7  P5/32
-    ("C3K2", [-1], dict(c_out=1024, n=2, c3k=True, e=0.5)),       # 8
-    ("SPPF", [-1], dict(c_out=1024)),                             # 9
-    ("C2PSA", [-1], dict(n=2)),                                   # 10
+    ("ConvBlock", [-1], dict(c_out=64)),                          # 0  P1/2
+    ("ConvBlock", [-1], dict(c_out=128)),                         # 1  P2/4
+    ("C3K2", [-1], dict(c_out=256, c3k=False, e=0.25)),           # 2
+    ("ConvBlock", [-1], dict(c_out=256)),                         # 3  P3/8
+    ("C3K2", [-1], dict(c_out=512, c3k=False, e=0.25)),           # 4
+    ("ConvBlock", [-1], dict(c_out=512)),                         # 5  P4/16
+    ("C3K2", [-1], dict(c_out=512, c3k=True, e=0.5)),             # 6
+    ("ConvBlock", [-1], dict(c_out=1024)),                        # 7  P5/32
+    ("C3K2", [-1], dict(c_out=1024, c3k=True, e=0.5)),            # 8
+    ("SPPF", [-1], {}),                                           # 9
+    ("C2PSA", [-1], {}),                                          # 10
     ("Upsample", [-1], {}),                                       # 11
     ("Concat", [-1, 6], {}),                                      # 12
-    ("C3K2", [-1], dict(c_out=512, n=2, c3k=False, e=0.5)),       # 13
+    ("C3K2", [-1], dict(c_out=512, c3k=False, e=0.5)),            # 13
     ("Upsample", [-1], {}),                                       # 14
     ("Concat", [-1, 4], {}),                                      # 15
-    ("C3K2", [-1], dict(c_out=256, n=2, c3k=False, e=0.5)),       # 16 P3 out
-    ("ConvBlock", [-1], dict(c_out=256, k=3, stride=2)),          # 17
+    ("C3K2", [-1], dict(c_out=256, c3k=False, e=0.5)),            # 16 P3 out
+    ("ConvBlock", [-1], dict(c_out=256)),                         # 17
     ("Concat", [-1, 13], {}),                                     # 18
-    ("C3K2", [-1], dict(c_out=512, n=2, c3k=False, e=0.5)),       # 19 P4 out
-    ("ConvBlock", [-1], dict(c_out=512, k=3, stride=2)),          # 20
+    ("C3K2", [-1], dict(c_out=512, c3k=False, e=0.5)),            # 19 P4 out
+    ("ConvBlock", [-1], dict(c_out=512)),                         # 20
     ("Concat", [-1, 10], {}),                                     # 21
-    ("C3K2", [-1], dict(c_out=1024, n=2, c3k=True, e=0.5)),       # 22 P5 out
+    ("C3K2", [-1], dict(c_out=1024, c3k=True, e=0.5)),            # 22 P5 out
     ("DetectHead", [16, 19, 22], {}),                             # 23
 ]
+_BASE_UNITS = 2
 
 STRIDES = (8, 16, 32)
 
@@ -114,6 +117,12 @@ def scale_units(n: int, variant: VariantSpec) -> int:
     return max(1, math.ceil(n * variant.depth_multiple))
 
 
+def _output_conv(c_in: int, c_out: int) -> ConvBlock:
+    """A head branch's last 1x1 conv: zero bias, no batch-norm, no activation."""
+    spec = ConvSpec(c_in, c_out, 1, bias=np.zeros(c_out, dtype=np.float32))
+    return ConvBlock(spec, None, act="none")
+
+
 class DetectHead:
     """Anchor-free head over three scales. Each scale emits
     4*reg_max distance-distribution logits followed by num_classes logits."""
@@ -133,7 +142,7 @@ class DetectHead:
                 [
                     ConvBlock.create(c, box_c, k=3),
                     ConvBlock.create(box_c, box_c, k=3),
-                    ConvBlock.create(box_c, 4 * reg_max, k=1, act="none", with_bn=False, with_bias=True),
+                    _output_conv(box_c, 4 * reg_max),
                 ]
             )
             self.cls_branches.append(
@@ -142,7 +151,7 @@ class DetectHead:
                     ConvBlock.create(c, cls_c, k=1),
                     ConvBlock.create(cls_c, cls_c, k=3, groups=cls_c),
                     ConvBlock.create(cls_c, cls_c, k=1),
-                    ConvBlock.create(cls_c, num_classes, k=1, act="none", with_bn=False, with_bias=True),
+                    _output_conv(cls_c, num_classes),
                 ]
             )
 
@@ -272,13 +281,16 @@ class ModelGraph:
                 continue
             yield from iter_leaf_blocks(block, f"layer{spec.index}")
 
-    def state_entries(self) -> list[tuple[str, np.ndarray]]:
-        """All parameter arrays (including running stats) in canonical order."""
-        out = []
+    def _entries(self) -> Iterator[tuple[str, ConvBlock, str, np.ndarray]]:
+        """Every parameter as (entry name, leaf, suffix, current array), in
+        canonical order; the one place entry names are built."""
         for path, leaf in self.named_leaf_blocks():
             for suffix, arr in leaf.entries():
-                out.append((f"{path}.{suffix}", arr))
-        return out
+                yield f"{path}.{suffix}", leaf, suffix, arr
+
+    def state_entries(self) -> list[tuple[str, np.ndarray]]:
+        """All parameter arrays (including running stats) in canonical order."""
+        return [(name, arr) for name, _, _, arr in self._entries()]
 
     def count_params(self) -> int:
         """Learnable parameter count: conv weights and biases plus bn gamma/beta."""
@@ -338,25 +350,19 @@ class ModelGraph:
 
     def init_random(self, seed: int) -> "ModelGraph":
         """Deterministic seeded init: uniform(+-sqrt(6/fan_in)) conv weights,
-        zero biases, identity batch-norm."""
+        zero biases, identity batch-norm, loaded through `load_state`."""
         rng = np.random.default_rng(seed)
-        for _, leaf in self.named_leaf_blocks():
-            spec = leaf.spec
-            fan_in = (spec.in_channels // spec.groups) * spec.kernel * spec.kernel
-            bound = math.sqrt(6.0 / fan_in)
-            leaf.set_entry(
-                "weight",
-                rng.uniform(-bound, bound, spec.weight.shape).astype(np.float32),
-            )
-            if spec.bias is not None:
-                leaf.set_entry("bias", np.zeros(spec.out_channels, dtype=np.float32))
-            if leaf.bn is not None:
-                c = leaf.bn.channels
-                leaf.set_entry("gamma", np.ones(c, dtype=np.float32))
-                leaf.set_entry("beta", np.zeros(c, dtype=np.float32))
-                leaf.set_entry("mean", np.zeros(c, dtype=np.float32))
-                leaf.set_entry("var", np.ones(c, dtype=np.float32))
-        return self
+        state = []
+        for name, _, suffix, arr in self._entries():
+            if suffix == "weight":
+                bound = math.sqrt(6.0 / math.prod(arr.shape[1:]))  # fan_in = (c_in/groups)*k*k
+                value = rng.uniform(-bound, bound, arr.shape).astype(np.float32)
+            elif suffix in ("gamma", "var"):
+                value = np.ones(arr.shape, dtype=np.float32)
+            else:
+                value = np.zeros(arr.shape, dtype=np.float32)
+            state.append((name, value))
+        return self.load_state(state)
 
     def load_state(self, entries: Sequence[tuple[str, np.ndarray]]) -> "ModelGraph":
         """Populate every parameter from (name, array) pairs; strict matching.
@@ -371,11 +377,7 @@ class ModelGraph:
             if name in provided:
                 raise ValueError(f"duplicate weight entry {name!r}")
             provided[name] = arr
-        expected = [
-            (f"{path}.{suffix}", leaf, suffix)
-            for path, leaf in self.named_leaf_blocks()
-            for suffix, _ in leaf.entries()
-        ]
+        expected = list(self._entries())
         expected_names = {name for name, *_ in expected}
         missing = sorted(expected_names - provided.keys())
         if missing:
@@ -385,7 +387,7 @@ class ModelGraph:
             raise ValueError(f"weights file has unknown entry {extra[0]!r}")
         checked = [
             (leaf, suffix, leaf._check_entry(suffix, provided[name], name))
-            for name, leaf, suffix in expected
+            for name, leaf, suffix, _ in expected
         ]
         for leaf, suffix, value in checked:
             leaf._store(suffix, value)
@@ -396,6 +398,7 @@ def _build_blocks(
     variant: VariantSpec, num_classes: int, reg_max: int
 ) -> tuple[list[LayerSpec], list[object | None], list[int]]:
     force_c3k = variant.name in _DEEP_C3K_VARIANTS
+    units = scale_units(_BASE_UNITS, variant)
     layers: list[LayerSpec] = []
     blocks: list[object | None] = []
     out_channels: list[int] = []
@@ -406,19 +409,13 @@ def _build_blocks(
         c_out = scale_channels(args["c_out"], variant) if "c_out" in args else None
         block: object | None = None
         if kind == "ConvBlock":
-            block = ConvBlock.create(c_in, c_out, k=args["k"], stride=args["stride"])
+            block = ConvBlock.create(c_in, c_out, k=3, stride=2)
         elif kind == "C3K2":
-            block = C3K2(
-                c_in,
-                c_out,
-                n=scale_units(args["n"], variant),
-                c3k=args["c3k"] or force_c3k,
-                e=args["e"],
-            )
+            block = C3K2(c_in, c_out, n=units, c3k=args["c3k"] or force_c3k, e=args["e"])
         elif kind == "SPPF":
-            block = SPPF(c_in, c_out)
+            block = SPPF(c_in)
         elif kind == "C2PSA":
-            block = C2PSA(c_in, n=scale_units(args["n"], variant))
+            block = C2PSA(c_in, n=units)
         elif kind == "DetectHead":
             block = DetectHead([out_channels[f] for f in froms_abs], num_classes, reg_max)
         elif kind not in ("Upsample", "Concat"):
@@ -434,6 +431,13 @@ def _build_blocks(
     return layers, blocks, out_channels
 
 
+def _variant(name: str) -> VariantSpec:
+    try:
+        return VARIANTS[name]
+    except KeyError:
+        raise ValueError(f"unknown variant {name!r}; expected one of {sorted(VARIANTS)}") from None
+
+
 def build_graph(
     variant: str | VariantSpec, num_classes: int = 80, reg_max: int = 16
 ) -> ModelGraph:
@@ -443,12 +447,7 @@ def build_graph(
     zero-initialized; call init_random or load_state before meaningful use.
     """
     if isinstance(variant, str):
-        try:
-            variant = VARIANTS[variant]
-        except KeyError:
-            raise ValueError(
-                f"unknown variant {variant!r}; expected one of {sorted(VARIANTS)}"
-            ) from None
+        variant = _variant(variant)
     if num_classes < 1:
         raise ValueError("num_classes must be >= 1")
     if reg_max < 2:
@@ -487,16 +486,9 @@ def parse_model_config(text: str) -> dict:
 
 def graph_from_config(config: dict) -> ModelGraph:
     """Build a graph from a parsed config, applying multiplier overrides."""
-    name = config.get("variant", "n")
-    base = VARIANTS.get(name)
-    if base is None:
-        raise ValueError(f"unknown variant {name!r}; expected one of {sorted(VARIANTS)}")
-    variant = VariantSpec(
-        name=base.name,
-        depth_multiple=config.get("depth_multiple", base.depth_multiple),
-        width_multiple=config.get("width_multiple", base.width_multiple),
-        max_channels=config.get("max_channels", base.max_channels),
-    )
+    keys = ("depth_multiple", "width_multiple", "max_channels")
+    overrides = {key: config[key] for key in keys if key in config}
+    variant = replace(_variant(config.get("variant", "n")), **overrides)
     return build_graph(
         variant,
         num_classes=config.get("num_classes", 80),

@@ -136,8 +136,6 @@ def write_weights(entries: Sequence[tuple[str, np.ndarray]]) -> bytes:
         if len(encoded) > 0xFFFF:
             raise FormatError(f"entry name too long: {name[:40]!r}...")
         arr = np.asarray(arr, dtype="<f4")
-        if arr.ndim and not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
         parts.append(struct.pack("<H", len(encoded)))
         parts.append(encoded)
         parts.append(struct.pack("<BB", 0, arr.ndim))

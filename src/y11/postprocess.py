@@ -79,12 +79,13 @@ def decode_head(
     Per cell: class scores are per-class sigmoids; a cell survives when its
     best score exceeds conf_thresh. Each box side is the softmax-expected bin
     index of its distance distribution times the stride, measured outward from
-    the cell center.
+    the cell center. A non-finite head value, which only bad weights or input
+    can produce, raises ValueError naming the head and channel.
     """
     if len(raw) != len(strides):
         raise ValueError(f"got {len(raw)} head tensors for {len(strides)} strides")
     out: list[Detection] = []
-    for tensor, stride in zip(raw, strides):
+    for i, (tensor, stride) in enumerate(zip(raw, strides)):
         expect_c = 4 * reg_max + num_classes
         if tensor.c != expect_c:
             raise ValueError(
@@ -94,6 +95,11 @@ def decode_head(
             raise ValueError("decode_head handles batch size 1")
         h, w = tensor.h, tensor.w
         flat = tensor.data.reshape(expect_c, h * w)
+        if not np.isfinite(flat).all():
+            channel = np.flatnonzero(~np.isfinite(flat).all(axis=1))[0]
+            raise ValueError(
+                f"head {i} (stride {stride}) has a non-finite value in channel {channel}"
+            )
         cls_logits = flat[4 * reg_max :]
         best_logit = cls_logits.max(axis=0)
         # sigmoid is monotone, so thresholding logits first avoids computing
@@ -166,23 +172,11 @@ def nms(candidates: Sequence[Detection], iou_thresh: float) -> list[Detection]:
 
 def unletterbox(dets: Sequence[Detection], meta: LetterboxMeta) -> list[Detection]:
     """Map boxes from letterboxed space back to original-image pixels,
-    clipping to the image bounds."""
-    out = []
-    for d in dets:
-        x1 = (d.box[0] - meta.pad_left) / meta.scale
-        y1 = (d.box[1] - meta.pad_top) / meta.scale
-        x2 = (d.box[2] - meta.pad_left) / meta.scale
-        y2 = (d.box[3] - meta.pad_top) / meta.scale
-        out.append(
-            Detection(
-                class_id=d.class_id,
-                score=d.score,
-                box=(
-                    min(max(x1, 0.0), meta.orig_w),
-                    min(max(y1, 0.0), meta.orig_h),
-                    min(max(x2, 0.0), meta.orig_w),
-                    min(max(y2, 0.0), meta.orig_h),
-                ),
-            )
-        )
-    return out
+    clipping to the image bounds. Coordinates come back as floats."""
+    pad = np.array([meta.pad_left, meta.pad_top] * 2, dtype=np.float64)
+    limit = np.array([meta.orig_w, meta.orig_h] * 2, dtype=np.float64)
+    boxes = (np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4) - pad) / meta.scale
+    # min(max(v, 0), limit) as Python's min/max do it: -0.0 and NaN pass unchanged
+    boxes = np.where(boxes < 0.0, 0.0, boxes)
+    boxes = np.where(boxes > limit, limit, boxes)
+    return [Detection(d.class_id, d.score, tuple(box)) for d, box in zip(dets, boxes.tolist())]

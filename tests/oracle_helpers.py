@@ -11,6 +11,9 @@ folding: the convolution with the unfolded spec, then batch-norm as a
 per-channel multiply-add. The matching references are the other exception: they are the per-threshold
 greedy loop and evaluation that `metrics._match_sweep` replaced, scoring with
 the package's scalar `iou` and building its ledger and report types.
+`unletterbox_reference` and `init_random_reference` are the per-record and
+per-leaf loops that `postprocess.unletterbox` and `ModelGraph.init_random`
+replaced.
 """
 from __future__ import annotations
 
@@ -158,6 +161,50 @@ def conv_block_forward_unfused(block, x):
     if block.act == "silu":
         y = silu(y)
     return y
+
+
+def unletterbox_reference(dets, meta):
+    """Per-record unletterbox: each box float mapped and clipped with Python's
+    min and max, as `postprocess.unletterbox` did before it mapped arrays."""
+    from y11.postprocess import Detection
+
+    out = []
+    for d in dets:
+        x1 = (d.box[0] - meta.pad_left) / meta.scale
+        y1 = (d.box[1] - meta.pad_top) / meta.scale
+        x2 = (d.box[2] - meta.pad_left) / meta.scale
+        y2 = (d.box[3] - meta.pad_top) / meta.scale
+        box = (
+            min(max(x1, 0.0), meta.orig_w),
+            min(max(y1, 0.0), meta.orig_h),
+            min(max(x2, 0.0), meta.orig_w),
+            min(max(y2, 0.0), meta.orig_h),
+        )
+        out.append(Detection(d.class_id, d.score, box))
+    return out
+
+
+def init_random_reference(graph, seed: int):
+    """Per-leaf seeded init through `set_entry`, as `ModelGraph.init_random`
+    did before it went through `load_state`: one uniform(+-sqrt(6/fan_in))
+    draw per conv weight, zero biases, identity batch-norm."""
+    import math
+
+    rng = np.random.default_rng(seed)
+    for _, leaf in graph.named_leaf_blocks():
+        spec = leaf.spec
+        fan_in = (spec.in_channels // spec.groups) * spec.kernel * spec.kernel
+        bound = math.sqrt(6.0 / fan_in)
+        leaf.set_entry("weight", rng.uniform(-bound, bound, spec.weight.shape).astype(np.float32))
+        if spec.bias is not None:
+            leaf.set_entry("bias", np.zeros(spec.out_channels, dtype=np.float32))
+        if leaf.bn is not None:
+            c = leaf.bn.channels
+            leaf.set_entry("gamma", np.ones(c, dtype=np.float32))
+            leaf.set_entry("beta", np.zeros(c, dtype=np.float32))
+            leaf.set_entry("mean", np.zeros(c, dtype=np.float32))
+            leaf.set_entry("var", np.ones(c, dtype=np.float32))
+    return graph
 
 
 def _iou_plain(a, b) -> float:

@@ -160,19 +160,20 @@ class TestC2F:
 
 class TestC3K:
     def test_zero_weights_branch_passthrough(self):
-        block = randomize(C3K(8, 8, n=1), 0)
-        zero_weights(block.units[0])
+        block = randomize(C3K(8), 0)
+        for unit in block.units:
+            zero_weights(unit)
         x = random_tensor(np.random.default_rng(1), 1, 8, 5, 5)
         want = block.cv3(concat_channels([block.cv1(x), block.cv2(x)]))
         assert np.array_equal(block(x).data, want.data)
 
     def test_output_shape_contract(self):
-        block = C3K(8, 12, n=2)
+        block = C3K(8)
         x = Tensor(np.zeros((1, 8, 7, 7)))
-        assert block(x).shape == (1, 12, 7, 7)
+        assert block(x).shape == (1, 8, 7, 7)
 
     def test_straightline_oracle(self):
-        block = randomize(C3K(8, 8, n=2), 5)
+        block = randomize(C3K(8), 5)
         x = random_tensor(np.random.default_rng(6), 1, 8, 6, 6)
         y = manual_conv_block(block.cv1, x)
         for unit in block.units:
@@ -213,7 +214,7 @@ class TestC3K2:
 
 class TestSPPF:
     def test_constant_plane(self):
-        block = randomize(SPPF(8, 8), 0)
+        block = randomize(SPPF(8), 0)
         x = Tensor(np.full((1, 8, 6, 6), 2.5))
         h = block.cv1(x)
         want = block.cv2(concat_channels([h, h, h, h]))
@@ -235,12 +236,12 @@ class TestSPPF:
         assert np.array_equal(p.data, maxpool2d(x, 13, 1, 6).data)
 
     def test_shape_contract(self):
-        block = SPPF(64, 64)
+        block = SPPF(64)
         assert block(Tensor(np.zeros((1, 64, 20, 20)))).shape == (1, 64, 20, 20)
 
     def test_odd_channels_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            SPPF(7, 8)
+            SPPF(7)
 
 
 class TestAttention:
@@ -369,7 +370,7 @@ class TestDeterminism:
         [
             lambda: Bottleneck(8),
             lambda: C3K2(8, 8, n=1, c3k=True),
-            lambda: SPPF(8, 8),
+            lambda: SPPF(8),
             lambda: C2PSA(16, n=1),
         ],
     )

@@ -92,6 +92,35 @@ class TestInfer:
         assert "non-finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "entry,index,value,channel",
+        [
+            ("layer23.cls0.4.bias", 3, np.nan, 64 + 3),
+            pytest.param("layer0.gamma", 0, np.inf, None,
+                         marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        ],
+    )
+    def test_non_finite_head_is_data_error(self, small_ppm, tmp_path, capsys, entry, index,
+                                           value, channel):
+        # Unchecked, the NaN bias drops every stride-8 cell and the Inf gamma
+        # gives an empty list, both with exit 0.
+        from y11.graph import build_graph
+
+        entries = build_graph("n").init_random(9).state_entries()
+        for name, arr in entries:
+            if name == entry:
+                arr[index] = value
+        wpath = tmp_path / "bad.y11w"
+        wpath.write_bytes(write_weights(entries))
+        out = tmp_path / "dets.json"
+        code, stdout, err = run(capsys, "infer", str(small_ppm), "--size", "64", "--conf", "0.001",
+                                "--weights", str(wpath), "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert "head 0 (stride 8)" in err and "non-finite" in err
+        if channel is not None:
+            assert f"channel {channel}" in err
+        assert not out.exists()
+
     def test_json_format_schema(self, small_ppm, tmp_path, capsys):
         code, stdout, _ = run(capsys, "infer", str(small_ppm), "--size", "64",
                               "--format", "json", "--out", str(tmp_path / "d.json"))

@@ -9,6 +9,7 @@ from oracle_helpers import (
     conv_block_forward_unfused,
     count_flops_reference,
     forward_reference,
+    init_random_reference,
     walk_shapes_reference,
 )
 from y11.blocks import C3K2, SPPF, ConvBlock
@@ -180,7 +181,7 @@ class TestCountParams:
         # Independent closed-form accounting for a 3-block chain.
         stem = ConvBlock.create(3, 16, k=3, stride=2)
         csp = C3K2(16, 32, n=1, c3k=False, e=0.5)
-        sppf = SPPF(32, 32)
+        sppf = SPPF(32)
 
         stem_expect = 3 * 16 * 9 + 2 * 16
         # C3K2: cv1 1x1 16->32, one bottleneck on 16 (hidden 8, two 3x3 convs),
@@ -298,6 +299,12 @@ class TestWalkReferences:
 
 
 class TestInitRandom:
+    @pytest.mark.parametrize("variant", ["n", "s"])
+    def test_matches_per_leaf_reference_bytewise(self, variant):
+        got = build_graph(variant).init_random(3).state_entries()
+        want = init_random_reference(build_graph(variant), 3).state_entries()
+        assert [(n, a.tobytes()) for n, a in got] == [(n, a.tobytes()) for n, a in want]
+
     def test_same_seed_bitwise(self):
         a = build_graph("n").init_random(42)
         b = build_graph("n").init_random(42)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tensor
+from oracle_helpers import unletterbox_reference
 from y11.metrics import iou
 from y11.postprocess import (
     PAD_VALUE,
@@ -92,6 +93,15 @@ class TestDecodeHead:
         det = decode_head([t], [8], reg_max, nc, 0.25)[0]
         # Uniform softmax expectation is exactly (reg_max - 1) / 2 = 7.5.
         assert det.box[2] - det.box[0] == pytest.approx(2 * 7.5 * 8, abs=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channel", [5, 64 + 1])  # a box channel, a class channel
+    def test_non_finite_value_raises(self, value, channel):
+        data = np.full((1, 4 * 16 + 2, 1, 1), -1e9, dtype=np.float32)
+        data[0, channel] = value
+        tensors = [make_head_tensor(16, 2, 2, 2), Tensor(data)]
+        with pytest.raises(ValueError, match=rf"head 1 \(stride 16\).*non-finite.*channel {channel}"):
+            decode_head(tensors, [8, 16], 16, 2, 0.25)
 
     def test_channel_mismatch(self):
         t = Tensor(np.zeros((1, 100, 2, 2)))
@@ -200,6 +210,31 @@ class TestUnletterbox:
         meta = LetterboxMeta(1.0, 0, 0, 50, 40)
         det = Detection(0, 0.5, (-5.0, -3.0, 60.0, 70.0))
         assert unletterbox([det], meta)[0].box == (0.0, 0.0, 50.0, 40.0)
+
+    def test_coordinates_are_floats_past_every_edge(self):
+        meta = LetterboxMeta(1.0, 0, 0, 50, 40)
+        box = unletterbox([Detection(0, 0.5, (-5.0, -3.0, 60.0, 70.0))], meta)[0].box
+        assert all(type(v) is float for v in box)
+
+    def test_matches_per_record_reference(self):
+        # Includes boxes past every edge, zero pads and -0.0 coordinates, so
+        # the clip must keep the sign of zero the way Python's min/max do.
+        rng = np.random.default_rng(4)
+        for trial in range(40):
+            pad = (0, 0) if trial % 2 else tuple(rng.integers(0, 50, 2).tolist())
+            size = tuple(rng.integers(1, 400, 2).tolist())
+            meta = LetterboxMeta(float(rng.uniform(0.2, 3.0)), *pad, *size)
+            boxes = rng.uniform(-200, 800, (25, 4))
+            boxes[rng.random((25, 4)) < 0.2] = -0.0
+            dets = [Detection(int(c), float(s), tuple(b.tolist()))
+                    for c, s, b in zip(rng.integers(0, 80, 25), rng.random(25), boxes)]
+            got = unletterbox(dets, meta)
+            want = unletterbox_reference(dets, meta)
+            assert [(d.class_id, d.score) for d in got] == [(d.class_id, d.score) for d in want]
+            for g, w in zip(got, want):
+                assert g.box == w.box
+                assert np.signbit(g.box).tolist() == np.signbit(w.box).tolist()
+        assert unletterbox([], meta) == []
 
 
 class TestPipeline:
