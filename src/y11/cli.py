@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from decimal import Decimal, InvalidOperation
 
 
 class UsageError(Exception):
@@ -27,6 +28,13 @@ def _size(value: str) -> int:
     if size < 32 or size % 32:
         raise argparse.ArgumentTypeError(f"size must be a positive multiple of 32, got {value}")
     return size
+
+
+def _positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return n
 
 
 def _fraction(value: str) -> float:
@@ -48,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     common_model(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("image", help="binary PPM (P6) input image")
-    p.add_argument("--config", help="model config file (key = value lines)")
+    p.add_argument("--nc", type=_positive_int, default=80, help="number of classes")
     p.add_argument("--weights", help="weights container; omitted = seeded random init")
     p.add_argument("--conf", type=_fraction, default=0.25)
     p.add_argument("--iou", type=_fraction, default=0.45)
@@ -74,22 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summary", help="per-layer table, parameter and FLOP totals")
     common_model(p)
-    p.add_argument("--nc", type=int, default=80, help="number of classes")
+    p.add_argument("--nc", type=_positive_int, default=80, help="number of classes")
     p.add_argument("--csv", help="also write the variant series (params/FLOPs) as CSV")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
-
-
-def _build_model(args, num_classes: int = 80):
-    from .graph import build_graph, graph_from_config, parse_model_config
-
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = parse_model_config(fh.read())
-        config.setdefault("variant", args.variant)
-        return graph_from_config(config)
-    return build_graph(args.variant, num_classes=num_classes)
 
 
 def _run_pipeline(graph, image, size, conf, iou):
@@ -113,11 +110,12 @@ def _run_pipeline(graph, image, size, conf, iou):
 
 
 def cmd_infer(args) -> int:
+    from .graph import build_graph
     from .io_formats import DumpDetection, read_ppm, read_weights, write_detections
 
     with open(args.image, "rb") as fh:
         image = read_ppm(fh.read())
-    graph = _build_model(args)
+    graph = build_graph(args.variant, num_classes=args.nc)
     if args.weights:
         with open(args.weights, "rb") as fh:
             graph.load_state(read_weights(fh.read()))
@@ -167,17 +165,21 @@ def cmd_infer(args) -> int:
 
 
 def _parse_sweep(text: str) -> list[float]:
+    """IoU thresholds from start:stop:step, each a whole number of hundredths
+    in [0, 1]. The sweep must include 0.5, where mAP@0.50 and P/R/F1 are taken."""
     try:
-        start, stop, step = (float(v) for v in text.split(":"))
-    except ValueError:
+        lo, hi, step = (Decimal(v) * 100 for v in text.split(":"))
+    except (ValueError, InvalidOperation):
         raise UsageError(f"bad sweep {text!r}, expected start:stop:step") from None
-    if step <= 0 or stop < start:
-        raise UsageError(f"bad sweep {text!r}")
-    out, t = [], start
-    while t <= stop + 1e-9:
-        out.append(round(t, 2))
-        t += step
-    return out
+    if not all(v.is_finite() and v == v.to_integral_value() for v in (lo, hi, step)):
+        raise UsageError(f"bad sweep {text!r}: values must be multiples of 0.01")
+    lo, hi, step = int(lo), int(hi), int(step)
+    if not 0 <= lo <= hi <= 100 or step < 1:
+        raise UsageError(f"bad sweep {text!r}: need 0 <= start <= stop <= 1, step >= 0.01")
+    thresholds = [i / 100 for i in range(lo, hi + 1, step)]
+    if 0.5 not in thresholds:
+        raise UsageError(f"bad sweep {text!r}: 0.5 must be in the sweep")
+    return thresholds
 
 
 def cmd_eval(args) -> int:
@@ -219,7 +221,7 @@ def cmd_eval(args) -> int:
             "f1": report.f1,
             "operating_conf": report.operating_conf,
             "per_class": {
-                str(cid): {"name": name, f"ap{int(t_lo * 100)}": ap_lo, "ap_mean": ap_mean}
+                str(cid): {"name": name, f"ap{round(t_lo * 100)}": ap_lo, "ap_mean": ap_mean}
                 for cid, name, ap_lo, ap_mean in rows
             },
         }
@@ -231,7 +233,7 @@ def cmd_eval(args) -> int:
                 print(f"{cid:>6}  {name:<16} {'n/a':>8}  {'n/a':>8}")
             else:
                 print(f"{cid:>6}  {name:<16} {ap_lo:>8.4f}  {ap_mean:>8.4f}")
-        print(f"mAP@{t_lo:.2f}: {report.map50:.6f}")
+        print(f"mAP@0.50: {report.map50:.6f}")
         print(f"mAP@[{t_lo:.2f}:{report.thresholds[-1]:.2f}]: {report.map5095:.6f}")
         print(
             f"P/R/F1 @conf {report.operating_conf}: "
@@ -243,6 +245,7 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     import numpy as np
 
+    from .graph import build_graph
     from .tensor import Tensor
 
     if args.runs < 1:
@@ -250,7 +253,7 @@ def cmd_bench(args) -> int:
     if args.warmup < 0:
         raise UsageError("--warmup must be >= 0")
 
-    graph = _build_model(args).init_random(args.seed)
+    graph = build_graph(args.variant).init_random(args.seed)
     rng = np.random.default_rng(args.seed)
     # Synthetic workload: a non-square noise frame so the letterbox phase does
     # real resizing and padding.
@@ -298,7 +301,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_summary(args) -> int:
-    from .graph import VARIANTS, build_graph
+    from .graph import build_graph
 
     graph = build_graph(args.variant, num_classes=args.nc)
     rows = graph.layer_summary(args.size)
@@ -330,7 +333,7 @@ def cmd_summary(args) -> int:
     if args.csv:
         lines = ["variant,params,gflops"]
         for name in ("n", "s", "m", "l", "x"):
-            g = build_graph(VARIANTS[name], num_classes=args.nc)
+            g = build_graph(name, num_classes=args.nc)
             lines.append(f"{name},{g.count_params()},{g.count_flops(args.size):.4f}")
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

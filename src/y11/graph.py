@@ -7,7 +7,7 @@ inference and FLOP accounting share one layer walker.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -22,7 +22,6 @@ __all__ = [
     "DetectHead",
     "VARIANTS",
     "build_graph",
-    "parse_model_config",
 ]
 
 
@@ -34,10 +33,6 @@ class VariantSpec:
     depth_multiple: float
     width_multiple: float
     max_channels: int
-
-    def __post_init__(self) -> None:
-        if self.depth_multiple <= 0 or self.width_multiple <= 0 or self.max_channels <= 0:
-            raise ValueError("scaling multipliers must be positive")
 
 
 VARIANTS: dict[str, VariantSpec] = {
@@ -431,66 +426,17 @@ def _build_blocks(
     return layers, blocks, out_channels
 
 
-def _variant(name: str) -> VariantSpec:
-    try:
-        return VARIANTS[name]
-    except KeyError:
-        raise ValueError(f"unknown variant {name!r}; expected one of {sorted(VARIANTS)}") from None
+def build_graph(variant: str, num_classes: int = 80, reg_max: int = 16) -> ModelGraph:
+    """Assemble the detector for a scaling variant, one of n/s/m/l/x.
 
-
-def build_graph(
-    variant: str | VariantSpec, num_classes: int = 80, reg_max: int = 16
-) -> ModelGraph:
-    """Assemble the detector for a scaling variant.
-
-    `variant` is one of n/s/m/l/x or a custom VariantSpec. The graph comes out
-    zero-initialized; call init_random or load_state before meaningful use.
+    The graph comes out zero-initialized; call init_random or load_state
+    before meaningful use.
     """
-    if isinstance(variant, str):
-        variant = _variant(variant)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {sorted(VARIANTS)}")
     if num_classes < 1:
         raise ValueError("num_classes must be >= 1")
     if reg_max < 2:
         raise ValueError("reg_max must be >= 2")
-    layers, blocks, out_channels = _build_blocks(variant, num_classes, reg_max)
-    return ModelGraph(variant, num_classes, reg_max, layers, blocks, out_channels)
-
-
-def parse_model_config(text: str) -> dict:
-    """Parse the plain-text key=value model config.
-
-    Recognized keys: variant, num_classes, reg_max, depth_multiple,
-    width_multiple, max_channels. Lines starting with # are comments.
-    """
-    known_int = {"num_classes", "reg_max", "max_channels"}
-    known_float = {"depth_multiple", "width_multiple"}
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key = value, got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "variant":
-            out[key] = value
-        elif key in known_int:
-            out[key] = int(value)
-        elif key in known_float:
-            out[key] = float(value)
-        else:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-    return out
-
-
-def graph_from_config(config: dict) -> ModelGraph:
-    """Build a graph from a parsed config, applying multiplier overrides."""
-    keys = ("depth_multiple", "width_multiple", "max_channels")
-    overrides = {key: config[key] for key in keys if key in config}
-    variant = replace(_variant(config.get("variant", "n")), **overrides)
-    return build_graph(
-        variant,
-        num_classes=config.get("num_classes", 80),
-        reg_max=config.get("reg_max", 16),
-    )
+    layers, blocks, out_channels = _build_blocks(VARIANTS[variant], num_classes, reg_max)
+    return ModelGraph(VARIANTS[variant], num_classes, reg_max, layers, blocks, out_channels)

@@ -170,7 +170,10 @@ def read_weights(data: bytes) -> list[tuple[str, np.ndarray]]:
         pos += 2
         if pos + name_len + 2 > len(data):
             raise FormatError(f"weights: truncated inside {where}")
-        name = data[pos : pos + name_len].decode("utf-8")
+        try:
+            name = data[pos : pos + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"weights: name of {where} is not valid UTF-8") from None
         pos += name_len
         if name in seen:
             raise FormatError(f"weights: duplicate entry {name!r}")
@@ -191,9 +194,12 @@ def read_weights(data: bytes) -> list[tuple[str, np.ndarray]]:
                 f"weights: truncated payload of {name!r} at byte {pos} "
                 f"(need {payload} bytes)"
             )
-        arr = np.frombuffer(data, dtype="<f4", count=payload // 4, offset=pos)
+        try:  # numpy refuses a rank above 64, and a zero dim beside huge ones
+            arr = np.frombuffer(data, dtype="<f4", count=payload // 4, offset=pos).reshape(dims)
+        except ValueError as exc:
+            raise FormatError(f"weights: bad dims {dims} of {where}: {exc}") from None
         pos += payload
-        out.append((name, arr.reshape(dims)))
+        out.append((name, arr))
     if pos != len(data):
         raise FormatError(f"weights: trailing data after last entry at byte {pos}")
     return out
@@ -201,6 +207,17 @@ def read_weights(data: bytes) -> list[tuple[str, np.ndarray]]:
 
 # ---------------------------------------------------------------------------
 # Annotations (strict COCO subset) and detection dumps
+
+
+# Building a record can meet a missing key, a wrong type, an infinite id or a huge int.
+_BAD_RECORD = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _load_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too long an integer, too deep nesting
+        raise FormatError(f"{what}: invalid JSON: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -233,10 +250,9 @@ class AnnotationSet:
 
 def read_annotations(text: str) -> AnnotationSet:
     """Parse and validate the annotation JSON; every foreign key must resolve."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"annotations: invalid JSON: {exc}") from None
+    doc = _load_json(text, "annotations")
+    if not isinstance(doc, dict):
+        raise FormatError("annotations: top-level value must be an object")
     for key in ("images", "annotations", "categories"):
         if key not in doc or not isinstance(doc[key], list):
             raise FormatError(f"annotations: missing list field {key!r}")
@@ -245,13 +261,13 @@ def read_annotations(text: str) -> AnnotationSet:
     for item in doc["images"]:
         try:
             images.append(ImageInfo(int(item["id"]), int(item["width"]), int(item["height"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_RECORD as exc:
             raise FormatError(f"annotations: bad image record {item!r}: {exc}") from None
     categories = []
     for item in doc["categories"]:
         try:
             categories.append(Category(int(item["id"]), str(item["name"])))
-        except (KeyError, TypeError) as exc:
+        except _BAD_RECORD as exc:
             raise FormatError(f"annotations: bad category record {item!r}: {exc}") from None
 
     image_ids = {im.id for im in images}
@@ -270,7 +286,7 @@ def read_annotations(text: str) -> AnnotationSet:
                 int(item["category_id"]),
                 tuple(float(v) for v in item["bbox"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_RECORD as exc:
             raise FormatError(f"annotations: bad annotation record {item!r}: {exc}") from None
         if len(ann.bbox) != 4:
             raise FormatError(f"annotations: annotation {ann.id}: bbox must have 4 numbers")
@@ -318,10 +334,7 @@ def write_detections(dets: Sequence[DumpDetection]) -> str:
 def read_detections(text: str) -> list[DumpDetection]:
     """Parse a detection dump. Every bbox value must be finite and w, h >= 0;
     zero is allowed, since unletterboxing can clip a box to zero width."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"detections: invalid JSON: {exc}") from None
+    doc = _load_json(text, "detections")
     if not isinstance(doc, list):
         raise FormatError("detections: top-level value must be a list")
     out = []
@@ -333,7 +346,7 @@ def read_detections(text: str) -> list[DumpDetection]:
                 tuple(float(v) for v in item["bbox"]),
                 float(item["score"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_RECORD as exc:
             raise FormatError(f"detections: bad record {item!r}: {exc}") from None
         if len(det.bbox) != 4:
             raise FormatError(f"detections: bbox must have 4 numbers, got {item!r}")

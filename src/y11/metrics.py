@@ -249,6 +249,8 @@ def evaluate(
     and micro-averaged P/R/F1 at IoU 0.5 for detections above operating_conf.
     """
     thresholds = list(thresholds) if thresholds is not None else default_thresholds()
+    if 0.5 not in thresholds:
+        raise ValueError(f"thresholds {thresholds} must include 0.5 for mAP@0.5")
     ap: dict[int, dict[float, float | None]] = {}
     class_ids: set[int] = set()
     for t, ledger in zip(thresholds, _match_sweep(dets, gts, thresholds)):
@@ -256,7 +258,6 @@ def evaluate(
         for cid, matches in ledger.classes.items():
             ap.setdefault(cid, {})[t] = average_precision(pr_curve(matches))
     map_by_thresh, map5095 = mean_ap(ap, thresholds)
-    map50 = map_by_thresh.get(0.5, map_by_thresh[thresholds[0]])
 
     working = [d for d in dets if d[2] >= operating_conf]
     ledger = match_detections(working, gts, 0.5)
@@ -270,7 +271,7 @@ def evaluate(
         class_ids=sorted(class_ids),
         ap=ap,
         map_by_thresh=map_by_thresh,
-        map50=map50,
+        map50=map_by_thresh[0.5],
         map5095=map5095,
         operating_conf=operating_conf,
         precision=p,

@@ -130,13 +130,24 @@ class TestInfer:
         assert set(record["times_ms"]) == {"preprocess", "inference", "postprocess"}
 
     def test_config_file(self, small_ppm, tmp_path, capsys):
-        config = tmp_path / "model.cfg"
-        config.write_text("variant = n\nnum_classes = 5\n")
         out = tmp_path / "d.json"
         code, stdout, _ = run(capsys, "infer", str(small_ppm), "--size", "64",
-                              "--config", str(config), "--out", str(out))
+                              "--nc", "5", "--out", str(out))
         assert code == 0
         assert "5 classes" in stdout
+
+    def test_config_flag_is_gone(self, small_ppm, tmp_path, capsys):
+        config = tmp_path / "model.cfg"
+        config.write_text("variant = n\nnum_classes = 5\n")
+        code, _, err = run(capsys, "infer", str(small_ppm), "--config", str(config))
+        assert code == 1 and "--config" in err
+
+    @pytest.mark.parametrize("command", ["infer", "summary"])
+    @pytest.mark.parametrize("nc", ["0", "-3", "five"])
+    def test_bad_nc_is_usage_error(self, small_ppm, command, nc, capsys):
+        argv = [command, "--nc", nc] + ([str(small_ppm)] if command == "infer" else [])
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1 and "--nc" in err and stdout == ""
 
 
 ANNS = {
@@ -226,6 +237,55 @@ class TestEval:
         code, _, err = run(capsys, "eval", str(dets_path), str(anns_path),
                            "--sweep", "bananas")
         assert code == 1 and "sweep" in err
+
+    @pytest.mark.parametrize("sweep, message", [
+        ("0.5:0.52:0.004", "multiples of 0.01"),   # rounded, it would repeat thresholds
+        ("0.505:0.95:0.05", "multiples of 0.01"),
+        ("0.5:0.95:nan", "multiples of 0.01"),
+        ("0.5:inf:0.05", "multiples of 0.01"),
+        ("0.5:0.95:0", "step >= 0.01"),
+        ("0.5:0.95:-0.05", "step >= 0.01"),
+        ("-0.1:0.5:0.1", "0 <= start <= stop <= 1"),
+        ("0.5:1.05:0.05", "0 <= start <= stop <= 1"),
+        ("0.95:0.5:0.05", "0 <= start <= stop <= 1"),
+        ("0.55:0.95:0.05", "0.5 must be in the sweep"),
+        ("0.3:0.9:0.25", "0.5 must be in the sweep"),
+        ("0.5:0.95:0.05:0.1", "expected start:stop:step"),
+    ])
+    def test_sweep_off_the_grid_or_without_half_is_usage_error(self, tmp_path, capsys,
+                                                               sweep, message):
+        dets_path, anns_path = write_eval_fixture(tmp_path, [])
+        code, stdout, err = run(capsys, "eval", str(dets_path), str(anns_path), f"--sweep={sweep}")
+        assert code == 1 and message in err and stdout == ""
+
+    def test_map50_is_labelled_at_half(self, tmp_path, capsys):
+        # IoU 0.4: a hit at 0.30, a miss at 0.5, so the two labels give different numbers.
+        anns = dict(ANNS, annotations=[dict(ANNS["annotations"][0], bbox=[10, 10, 40, 40])])
+        anns_path = tmp_path / "anns.json"
+        anns_path.write_text(json.dumps(anns))
+        dets_path = tmp_path / "dets.json"
+        dets_path.write_text(write_detections([DumpDetection(0, 0, (10, 10, 40, 100), 0.9)]))
+        code, stdout, _ = run(capsys, "eval", str(dets_path), str(anns_path),
+                              "--sweep", "0.3:0.95:0.05")
+        assert code == 0
+        assert "1.0000" in stdout.splitlines()[1]  # cat's AP@0.30
+        assert "mAP@0.50: 0.000000" in stdout and "mAP@0.30" not in stdout
+
+    def test_first_threshold_key_is_rounded(self, tmp_path, capsys):
+        dets = [DumpDetection(0, 0, (10, 10, 20, 20), 0.9)]
+        dets_path, anns_path = write_eval_fixture(tmp_path, dets)
+        code, stdout, _ = run(capsys, "eval", str(dets_path), str(anns_path),
+                              "--sweep", "0.29:0.5:0.07", "--format", "json")
+        assert code == 0
+        record = json.loads(stdout)
+        assert record["thresholds"] == [0.29, 0.36, 0.43, 0.5]
+        assert set(record["per_class"]["0"]) == {"name", "ap29", "ap_mean"}  # 0.29 * 100 < 29
+
+    def test_non_object_annotations_is_data_error(self, tmp_path, capsys):
+        dets_path, anns_path = write_eval_fixture(tmp_path, [])
+        anns_path.write_text("5")
+        code, stdout, err = run(capsys, "eval", str(dets_path), str(anns_path))
+        assert code == 2 and "top-level value must be an object" in err and stdout == ""
 
     def test_malformed_detections_is_data_error(self, tmp_path, capsys):
         anns_path = tmp_path / "anns.json"

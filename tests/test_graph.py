@@ -18,8 +18,6 @@ from y11.graph import (
     DetectHead,
     VariantSpec,
     build_graph,
-    graph_from_config,
-    parse_model_config,
     scale_channels,
     scale_units,
 )
@@ -69,6 +67,8 @@ class TestScaling:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown variant"):
             build_graph("q")
+        with pytest.raises(ValueError, match="unknown variant"):  # a spec is not a name
+            build_graph(VARIANTS["n"])
 
 
 class TestBuild:
@@ -77,6 +77,11 @@ class TestBuild:
         assert len(g.layers) == 24
         assert g.layers[-1].kind == "DetectHead"
         assert g.layers[-1].froms == (16, 19, 22)
+
+    def test_classes_and_reg_max_set_head_width(self):
+        g = build_graph("n", num_classes=11, reg_max=8)
+        assert g.num_classes == 11 and g.reg_max == 8
+        assert g.blocks[-1].out_channels == 4 * 8 + 11
 
     def test_depth_scaled_unit_counts(self):
         assert len(build_graph("n").blocks[2].units) == 1  # ceil(2 * 0.5)
@@ -403,29 +408,6 @@ class TestLoadState:
         entries.append(entries[0])
         with pytest.raises(ValueError, match="duplicate"):
             build_graph("n").load_state(entries)
-
-
-class TestModelConfig:
-    def test_parse_and_override(self):
-        text = """
-        # tiny config
-        variant = n
-        num_classes = 11
-        reg_max = 8
-        width_multiple = 0.25
-        """
-        config = parse_model_config(text)
-        g = graph_from_config(config)
-        assert g.num_classes == 11 and g.reg_max == 8
-        assert g.blocks[-1].out_channels == 4 * 8 + 11
-
-    def test_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            parse_model_config("colour = blue")
-
-    def test_bad_syntax(self):
-        with pytest.raises(ValueError, match="key = value"):
-            parse_model_config("just some words")
 
 
 class TestDetectHead:

@@ -1,4 +1,6 @@
 """Byte-exact file formats: PPM, weights container, annotations, detections."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,23 @@ class TestWeightsContainer:
         with pytest.raises(FormatError, match="trailing"):
             read_weights(data + b"\x00")
 
+    def test_non_utf8_name_names_entry(self):
+        data = write_weights([("a", np.zeros(1, dtype=np.float32)),
+                              ("bc", np.zeros(1, dtype=np.float32))])
+        # The header, then entry "a": name length, name, dtype and rank, one dim, payload.
+        second = 12 + 2 + 1 + 2 + 4 + 4
+        data = data[: second + 2] + b"\xff\xfe" + data[second + 4 :]
+        with pytest.raises(FormatError, match=f"name of entry 1 at byte {second} is not valid"):
+            read_weights(data)
+
+    @pytest.mark.parametrize("dims", [(0,) * 65, (0, 2**31, 2**31)],
+                             ids=["rank65", "zero-beside-huge"])
+    def test_unrepresentable_dims_name_entry(self, dims):
+        data = (b"Y11W" + struct.pack("<IIH", 1, 1, 1) + b"w"
+                + struct.pack(f"<BB{len(dims)}I", 0, len(dims), *dims))
+        with pytest.raises(FormatError, match="bad dims .* of entry 0 at byte 12"):
+            read_weights(data)
+
     def test_scalar_rank_zero(self):
         out = read_weights(write_weights([("s", np.float32(2.5))]))
         assert out[0][1].shape == ()
@@ -179,6 +198,26 @@ class TestAnnotations:
         with pytest.raises(FormatError, match="categories"):
             read_annotations('{"images": [], "annotations": []}')
 
+    @pytest.mark.parametrize("text", ["5", "NaN", "null", '"images annotations categories"'])
+    def test_top_level_must_be_an_object(self, text):
+        with pytest.raises(FormatError, match="top-level value must be an object"):
+            read_annotations(text)
+
+    @pytest.mark.parametrize("old, new", [
+        ('"id": 1,', '"id": Infinity,'),                  # int(inf) overflows
+        ('"id": 2,', '"id": "two",'),                     # category id that is not a number
+        ("[4, 5, 10, 12]", "[4, 5, 10, 1" + "0" * 400 + "]"),  # too large for a float
+    ], ids=["infinite-id", "text-id", "huge-int-bbox"])
+    def test_unconvertible_values_are_format_errors(self, old, new):
+        with pytest.raises(FormatError, match="bad (image|category|annotation) record"):
+            read_annotations(MINIMAL_ANNS.replace(old, new))
+
+    @pytest.mark.parametrize("reader", [read_annotations, read_detections])
+    @pytest.mark.parametrize("text", ["[" * 100000, "1" * 5000], ids=["deep", "long-int"])
+    def test_unparsable_json_is_format_error(self, reader, text):
+        with pytest.raises(FormatError, match="invalid JSON"):
+            reader(text)
+
 
 class TestDetectionDump:
     def test_xyxy_to_xywh_and_fixed_formatting(self):
@@ -222,6 +261,11 @@ class TestDetectionDump:
     def test_bad_record(self):
         with pytest.raises(FormatError, match="bad record"):
             read_detections('[{"image_id": 0}]')
+        record = '{"image_id": 0, "category_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5}'
+        for old, new in [('"image_id": 0', '"image_id": Infinity'),  # int(inf) overflows
+                         ("[0, 0, 1, 1]", "[1" + "0" * 400 + ", 0, 1, 1]")]:  # float() overflows
+            with pytest.raises(FormatError, match="bad record"):
+                read_detections(f"[{record.replace(old, new)}]")
         good = '{"image_id": 0, "category_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5}'
         for bbox, message in [
             ("[NaN, 0, 1, 1]", "record 1 has a non-finite"),

@@ -360,6 +360,10 @@ class TestMeanAP:
         for t in default_thresholds():
             assert abs(report.map_by_thresh[t] - want_by_thresh[t]) < 1e-9
 
+    def test_sweep_without_half_raises(self):
+        with pytest.raises(ValueError, match="must include 0.5"):
+            evaluate(FIXTURE_DETS, FIXTURE_GTS, [0.3, 0.55])
+
     def test_map5095_not_above_map50(self):
         report = evaluate(FIXTURE_DETS, FIXTURE_GTS)
         assert report.map5095 <= report.map50 + 1e-12
