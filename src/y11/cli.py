@@ -37,6 +37,13 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _non_negative_int(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return n
+
+
 def _fraction(value: str) -> float:
     f = float(value)
     if not 0.0 <= f <= 1.0:
@@ -54,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="run detection on one PPM image")
     common_model(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("image", help="binary PPM (P6) input image")
     p.add_argument("--nc", type=_positive_int, default=80, help="number of classes")
     p.add_argument("--weights", help="weights container; omitted = seeded random init")
@@ -73,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="three-phase latency benchmark on synthetic input")
     common_model(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--warmup", type=int, default=2)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--runs", type=_positive_int, default=10)
+    p.add_argument("--warmup", type=_non_negative_int, default=2)
     p.add_argument("--conf", type=_fraction, default=0.25)
     p.add_argument("--iou", type=_fraction, default=0.45)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -247,11 +254,6 @@ def cmd_bench(args) -> int:
 
     from .graph import build_graph
     from .tensor import Tensor
-
-    if args.runs < 1:
-        raise UsageError("--runs must be >= 1")
-    if args.warmup < 0:
-        raise UsageError("--warmup must be >= 0")
 
     graph = build_graph(args.variant).init_random(args.seed)
     rng = np.random.default_rng(args.seed)

@@ -91,13 +91,6 @@ class LayerSpec:
     kind: str
     froms: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for f in self.froms:
-            if f >= self.index or f < -1:
-                raise ValueError(
-                    f"layer {self.index}: from-reference {f} must point to an earlier layer"
-                )
-
 
 def scale_channels(c: int, variant: VariantSpec) -> int:
     """Width scaling: cap, multiply, round to the nearest multiple of 8 (min 8)."""
@@ -207,37 +200,53 @@ def _run_layer(spec: LayerSpec, block, inputs: list[Tensor]):
 
 
 class ModelGraph:
-    """Materialized layer DAG. Immutable topology; forward is pure.
+    """The detector's layer graph for one scaling variant, built from
+    `_BASE_LAYERS`. Immutable topology; forward is pure.
 
     One walker, `_walk`, visits the layers in order and resolves each layer's
     inputs; `forward` runs it over tensors, and `count_flops` and
     `layer_summary` run it over (channels, h, w) shape tuples.
     """
 
-    def __init__(
-        self,
-        variant: VariantSpec,
-        num_classes: int,
-        reg_max: int,
-        layers: list[LayerSpec],
-        blocks: list[object | None],
-        out_channels: list[int],
-    ) -> None:
-        self.variant = variant
+    def __init__(self, variant: str, num_classes: int = 80, reg_max: int = 16) -> None:
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {sorted(VARIANTS)}")
+        if num_classes < 1:
+            raise ValueError("num_classes must be >= 1")
+        if reg_max < 2:
+            raise ValueError("reg_max must be >= 2")
+        self.variant = scaling = VARIANTS[variant]
         self.num_classes = num_classes
         self.reg_max = reg_max
         self.strides = STRIDES
-        self.layers = layers
-        self.blocks = blocks
-        self.out_channels = out_channels
-        self.save: set[int] = set()
-        for spec in layers:
-            for f in spec.froms:
-                if f != spec.index - 1:
-                    self.save.add(f)
-        heads = [i for i, s in enumerate(layers) if s.kind == "DetectHead"]
-        if len(heads) != 1 or heads[0] != len(layers) - 1:
-            raise ValueError("graph must end with exactly one DetectHead layer")
+        self.layers: list[LayerSpec] = []
+        self.blocks: list[object | None] = []
+        self.out_channels: list[int] = []
+        self.save: set[int] = set()  # outputs a later non-adjacent layer reads
+        units = scale_units(_BASE_UNITS, scaling)
+        for index, (kind, froms, args) in enumerate(_BASE_LAYERS):
+            froms = tuple(index - 1 if f == -1 else f for f in froms)
+            self.save.update(f for f in froms if f != index - 1)
+            c_in = 3 if index == 0 else self.out_channels[froms[0]]
+            c_out = scale_channels(args["c_out"], scaling) if "c_out" in args else None
+            block: object | None = None
+            if kind == "ConvBlock":
+                block = ConvBlock.create(c_in, c_out, k=3, stride=2)
+            elif kind == "C3K2":
+                c3k = args["c3k"] or variant in _DEEP_C3K_VARIANTS
+                block = C3K2(c_in, c_out, n=units, c3k=c3k, e=args["e"])
+            elif kind == "SPPF":
+                block = SPPF(c_in)
+            elif kind == "C2PSA":
+                block = C2PSA(c_in, n=units)
+            elif kind == "DetectHead":
+                block = DetectHead([self.out_channels[f] for f in froms], num_classes, reg_max)
+            self.layers.append(LayerSpec(index, kind, froms))
+            self.blocks.append(block)
+            if kind == "Concat":
+                self.out_channels.append(sum(self.out_channels[f] for f in froms))
+            else:  # Upsample keeps its input's width
+                self.out_channels.append(c_in if block is None else block.out_channels)
 
     # -- layer walk ------------------------------------------------------
 
@@ -389,54 +398,10 @@ class ModelGraph:
         return self
 
 
-def _build_blocks(
-    variant: VariantSpec, num_classes: int, reg_max: int
-) -> tuple[list[LayerSpec], list[object | None], list[int]]:
-    force_c3k = variant.name in _DEEP_C3K_VARIANTS
-    units = scale_units(_BASE_UNITS, variant)
-    layers: list[LayerSpec] = []
-    blocks: list[object | None] = []
-    out_channels: list[int] = []
-    for index, (kind, froms, args) in enumerate(_BASE_LAYERS):
-        froms_abs = tuple(index - 1 if f == -1 else f for f in froms)
-        spec = LayerSpec(index, kind, froms_abs)
-        c_in = 3 if index == 0 else out_channels[froms_abs[0]]
-        c_out = scale_channels(args["c_out"], variant) if "c_out" in args else None
-        block: object | None = None
-        if kind == "ConvBlock":
-            block = ConvBlock.create(c_in, c_out, k=3, stride=2)
-        elif kind == "C3K2":
-            block = C3K2(c_in, c_out, n=units, c3k=args["c3k"] or force_c3k, e=args["e"])
-        elif kind == "SPPF":
-            block = SPPF(c_in)
-        elif kind == "C2PSA":
-            block = C2PSA(c_in, n=units)
-        elif kind == "DetectHead":
-            block = DetectHead([out_channels[f] for f in froms_abs], num_classes, reg_max)
-        elif kind not in ("Upsample", "Concat"):
-            raise ValueError(f"unknown layer kind {kind!r}")
-        layers.append(spec)
-        blocks.append(block)
-        if block is not None:
-            out_channels.append(block.out_channels)
-        elif kind == "Concat":
-            out_channels.append(sum(out_channels[f] for f in froms_abs))
-        else:  # Upsample keeps its input's width
-            out_channels.append(c_in)
-    return layers, blocks, out_channels
-
-
 def build_graph(variant: str, num_classes: int = 80, reg_max: int = 16) -> ModelGraph:
     """Assemble the detector for a scaling variant, one of n/s/m/l/x.
 
     The graph comes out zero-initialized; call init_random or load_state
     before meaningful use.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {sorted(VARIANTS)}")
-    if num_classes < 1:
-        raise ValueError("num_classes must be >= 1")
-    if reg_max < 2:
-        raise ValueError("reg_max must be >= 2")
-    layers, blocks, out_channels = _build_blocks(VARIANTS[variant], num_classes, reg_max)
-    return ModelGraph(VARIANTS[variant], num_classes, reg_max, layers, blocks, out_channels)
+    return ModelGraph(variant, num_classes, reg_max)

@@ -209,8 +209,23 @@ def read_weights(data: bytes) -> list[tuple[str, np.ndarray]]:
 # Annotations (strict COCO subset) and detection dumps
 
 
-# Building a record can meet a missing key, a wrong type, an infinite id or a huge int.
-_BAD_RECORD = (KeyError, TypeError, ValueError, OverflowError)
+# Building a record can meet a missing key, a wrong type, or an integer too
+# large for a float.
+_BAD_RECORD = (KeyError, TypeError, OverflowError)
+
+
+# JSON value types as `json.loads` returns them. Types are compared exactly,
+# so a bool, which isinstance counts as an int, is neither an id nor a number.
+_INT = (int,)
+_NUMBER = (int, float)
+
+
+def _typed(value, types: tuple[type, ...]):
+    """`value` itself if its type is one of `types`; else TypeError, which
+    the readers turn into a FormatError naming the record."""
+    if type(value) not in types:
+        raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
 
 
 def _load_json(text: str, what: str):
@@ -260,13 +275,13 @@ def read_annotations(text: str) -> AnnotationSet:
     images = []
     for item in doc["images"]:
         try:
-            images.append(ImageInfo(int(item["id"]), int(item["width"]), int(item["height"])))
+            images.append(ImageInfo(*(_typed(item[k], _INT) for k in ("id", "width", "height"))))
         except _BAD_RECORD as exc:
             raise FormatError(f"annotations: bad image record {item!r}: {exc}") from None
     categories = []
     for item in doc["categories"]:
         try:
-            categories.append(Category(int(item["id"]), str(item["name"])))
+            categories.append(Category(_typed(item["id"], _INT), _typed(item["name"], (str,))))
         except _BAD_RECORD as exc:
             raise FormatError(f"annotations: bad category record {item!r}: {exc}") from None
 
@@ -281,10 +296,10 @@ def read_annotations(text: str) -> AnnotationSet:
     for item in doc["annotations"]:
         try:
             ann = Annotation(
-                int(item["id"]),
-                int(item["image_id"]),
-                int(item["category_id"]),
-                tuple(float(v) for v in item["bbox"]),
+                _typed(item["id"], _INT),
+                _typed(item["image_id"], _INT),
+                _typed(item["category_id"], _INT),
+                tuple(float(_typed(v, _NUMBER)) for v in item["bbox"]),
             )
         except _BAD_RECORD as exc:
             raise FormatError(f"annotations: bad annotation record {item!r}: {exc}") from None
@@ -303,6 +318,8 @@ def read_annotations(text: str) -> AnnotationSet:
         if ann.bbox[2] <= 0 or ann.bbox[3] <= 0:
             raise FormatError(f"annotations: annotation {ann.id} has non-positive box dims")
         annotations.append(ann)
+    if len({a.id for a in annotations}) != len(annotations):
+        raise FormatError("annotations: duplicate annotation id")
     return AnnotationSet(images, annotations, categories)
 
 
@@ -341,10 +358,10 @@ def read_detections(text: str) -> list[DumpDetection]:
     for k, item in enumerate(doc):
         try:
             det = DumpDetection(
-                int(item["image_id"]),
-                int(item["category_id"]),
-                tuple(float(v) for v in item["bbox"]),
-                float(item["score"]),
+                _typed(item["image_id"], _INT),
+                _typed(item["category_id"], _INT),
+                tuple(float(_typed(v, _NUMBER)) for v in item["bbox"]),
+                float(_typed(item["score"], _NUMBER)),
             )
         except _BAD_RECORD as exc:
             raise FormatError(f"detections: bad record {item!r}: {exc}") from None

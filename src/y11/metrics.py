@@ -21,10 +21,7 @@ __all__ = [
     "MatchLedger",
     "match_detections",
     "precision_recall_f1",
-    "PRCurve",
-    "pr_curve",
     "average_precision",
-    "mean_ap",
     "EvalReport",
     "evaluate",
     "default_thresholds",
@@ -166,36 +163,19 @@ def precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]
     return p, r, f1
 
 
-@dataclass
-class PRCurve:
-    """Cumulative precision/recall points in descending-score order."""
-
-    recall: np.ndarray
-    precision: np.ndarray
-    num_gt: int
-
-
-def pr_curve(matches: ClassMatches) -> PRCurve:
-    ct = np.cumsum(matches.is_tp.astype(np.float64))
-    cf = np.cumsum((~matches.is_tp).astype(np.float64))
-    recall = ct / matches.num_gt if matches.num_gt else np.zeros_like(ct)
-    denom = ct + cf
-    precision = np.divide(ct, denom, out=np.zeros_like(ct), where=denom > 0)
-    return PRCurve(recall=recall, precision=precision, num_gt=matches.num_gt)
-
-
-def average_precision(curve: PRCurve) -> float | None:
-    """Exact area under the monotone precision envelope over recall.
+def average_precision(matches: ClassMatches) -> float | None:
+    """Exact area under the monotone precision envelope over recall, where
+    the curve's points are the cumulative precision and recall after each
+    detection in descending-score order.
 
     Returns None for classes with no ground truths; these are excluded from
     any averaging.
     """
-    if curve.num_gt == 0:
+    if matches.num_gt == 0:
         return None
-    if curve.recall.size == 0:
-        return 0.0
-    mrec = np.concatenate(([0.0], curve.recall))
-    mpre = np.concatenate(([1.0], curve.precision))
+    ct = np.cumsum(matches.is_tp.astype(np.float64))
+    mrec = np.concatenate(([0.0], ct / matches.num_gt))
+    mpre = np.concatenate(([1.0], ct / np.arange(1, ct.size + 1)))
     mpre = np.maximum.accumulate(mpre[::-1])[::-1]
     return float(np.sum((mrec[1:] - mrec[:-1]) * mpre[1:]))
 
@@ -220,25 +200,6 @@ class EvalReport:
     f1: float
 
 
-def mean_ap(
-    per_class_ap: dict[int, dict[float, float | None]],
-    thresholds: Sequence[float],
-) -> tuple[dict[float, float], float]:
-    """Average the AP table over classes per threshold, then over thresholds.
-
-    Classes whose AP is the no-ground-truth sentinel (None) are excluded.
-    Raises when nothing is evaluable.
-    """
-    map_by_thresh: dict[float, float] = {}
-    for t in thresholds:
-        values = [aps[t] for aps in per_class_ap.values() if aps[t] is not None]
-        if not values:
-            raise ValueError("no class with ground truths to evaluate")
-        map_by_thresh[t] = float(np.mean(values))
-    overall = float(np.mean([map_by_thresh[t] for t in thresholds]))
-    return map_by_thresh, overall
-
-
 def evaluate(
     dets: Sequence[DetTuple],
     gts: Sequence[GtTuple],
@@ -252,12 +213,16 @@ def evaluate(
     if 0.5 not in thresholds:
         raise ValueError(f"thresholds {thresholds} must include 0.5 for mAP@0.5")
     ap: dict[int, dict[float, float | None]] = {}
-    class_ids: set[int] = set()
     for t, ledger in zip(thresholds, _match_sweep(dets, gts, thresholds)):
-        class_ids |= set(ledger.classes)
         for cid, matches in ledger.classes.items():
-            ap.setdefault(cid, {})[t] = average_precision(pr_curve(matches))
-    map_by_thresh, map5095 = mean_ap(ap, thresholds)
+            ap.setdefault(cid, {})[t] = average_precision(matches)
+    # mAP per threshold over the classes with ground truths, then over thresholds.
+    map_by_thresh: dict[float, float] = {}
+    for t in thresholds:
+        values = [aps[t] for aps in ap.values() if aps[t] is not None]
+        if not values:
+            raise ValueError("no class with ground truths to evaluate")
+        map_by_thresh[t] = float(np.mean(values))
 
     working = [d for d in dets if d[2] >= operating_conf]
     ledger = match_detections(working, gts, 0.5)
@@ -268,11 +233,11 @@ def evaluate(
 
     return EvalReport(
         thresholds=thresholds,
-        class_ids=sorted(class_ids),
+        class_ids=sorted(ap),
         ap=ap,
         map_by_thresh=map_by_thresh,
         map50=map_by_thresh[0.5],
-        map5095=map5095,
+        map5095=float(np.mean([map_by_thresh[t] for t in thresholds])),
         operating_conf=operating_conf,
         precision=p,
         recall=r,

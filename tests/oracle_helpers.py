@@ -324,20 +324,18 @@ def match_detections_reference(dets, gts, iou_thresh: float):
 
 def evaluate_reference(dets, gts, thresholds, operating_conf: float = 0.25):
     """`metrics.evaluate` with one `match_detections_reference` call per threshold."""
-    from y11.metrics import (
-        EvalReport, average_precision, mean_ap, pr_curve, precision_recall_f1,
-    )
+    from y11.metrics import EvalReport, average_precision, precision_recall_f1
 
     thresholds = list(thresholds)
     ap = {}
-    class_ids = set()
     for t in thresholds:
-        ledger = match_detections_reference(dets, gts, t)
-        class_ids |= set(ledger.classes)
-        for cid, matches in ledger.classes.items():
-            ap.setdefault(cid, {})[t] = average_precision(pr_curve(matches))
-    map_by_thresh, map5095 = mean_ap(ap, thresholds)
-    map50 = map_by_thresh.get(0.5, map_by_thresh[thresholds[0]])
+        for cid, matches in match_detections_reference(dets, gts, t).classes.items():
+            ap.setdefault(cid, {})[t] = average_precision(matches)
+    map_by_thresh = {
+        t: float(np.mean([aps[t] for aps in ap.values() if aps[t] is not None]))
+        for t in thresholds
+    }
+    map5095 = float(np.mean([map_by_thresh[t] for t in thresholds]))
 
     working = [d for d in dets if d[2] >= operating_conf]
     ledger = match_detections_reference(working, gts, 0.5)
@@ -345,5 +343,5 @@ def evaluate_reference(dets, gts, thresholds, operating_conf: float = 0.25):
     fp = sum(m.fp for m in ledger.classes.values())
     fn = sum(m.fn for m in ledger.classes.values())
     p, r, f1 = precision_recall_f1(tp, fp, fn)
-    return EvalReport(thresholds, sorted(class_ids), ap, map_by_thresh, map50, map5095,
+    return EvalReport(thresholds, sorted(ap), ap, map_by_thresh, map_by_thresh[0.5], map5095,
                       operating_conf, p, r, f1)

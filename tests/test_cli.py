@@ -149,6 +149,14 @@ class TestInfer:
         code, stdout, err = run(capsys, *argv)
         assert code == 1 and "--nc" in err and stdout == ""
 
+    @pytest.mark.parametrize("command, flag", [
+        ("infer", "--seed"), ("bench", "--seed"), ("bench", "--warmup"),
+    ])
+    def test_negative_seed_or_warmup_is_usage_error(self, small_ppm, command, flag, capsys):
+        argv = [command, flag, "-1"] + ([str(small_ppm)] if command == "infer" else [])
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1 and flag in err and stdout == ""
+
 
 ANNS = {
     "images": [

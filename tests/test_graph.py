@@ -116,12 +116,6 @@ class TestBuild:
         digest = hashlib.sha256(layout.encode()).hexdigest()
         assert digest == self.STATE_LAYOUT_DIGESTS[variant]
 
-    def test_dag_validation(self):
-        from y11.graph import LayerSpec
-
-        with pytest.raises(ValueError, match="earlier layer"):
-            LayerSpec(3, "Concat", (5, 2))
-
 
 class TestForward:
     def test_head_channels_and_grids_640(self):

@@ -1,4 +1,5 @@
 """Byte-exact file formats: PPM, weights container, annotations, detections."""
+import json
 import struct
 
 import numpy as np
@@ -212,6 +213,34 @@ class TestAnnotations:
         with pytest.raises(FormatError, match="bad (image|category|annotation) record"):
             read_annotations(MINIMAL_ANNS.replace(old, new))
 
+    @pytest.mark.parametrize("old, new", [
+        ('"id": 1,', '"id": 2.9,'),                       # image id
+        ('"width": 64', '"width": "64"'),
+        ('"height": 48', '"height": true'),
+        ('"id": 2,', '"id": true,'),                      # category id
+        ('"name": "thing"', '"name": 7'),
+        ('"id": 10,', '"id": 10.0,'),                     # annotation id
+        ('"image_id": 1', '"image_id": 1.0'),
+        ('"category_id": 2', '"category_id": "2"'),
+        ("[4, 5, 10, 12]", '[4, "5", 10, 12]'),
+        ("[4, 5, 10, 12]", "[4, 5, true, 12]"),
+        ("[4, 5, 10, 12]", '"4512"'),
+    ])
+    def test_mistyped_fields_are_format_errors(self, old, new):
+        # Ids, width and height must be JSON integers, bbox values JSON
+        # numbers and a name a string; nothing is coerced, a bool included.
+        bad = MINIMAL_ANNS.replace(old, new)
+        assert bad != MINIMAL_ANNS
+        with pytest.raises(FormatError, match="bad (image|category|annotation) record"):
+            read_annotations(bad)
+
+    def test_duplicate_annotation_id(self):
+        # A repeated record would count its ground truth twice.
+        doc = json.loads(MINIMAL_ANNS)
+        doc["annotations"].append(dict(doc["annotations"][0]))
+        with pytest.raises(FormatError, match="duplicate annotation id"):
+            read_annotations(json.dumps(doc))
+
     @pytest.mark.parametrize("reader", [read_annotations, read_detections])
     @pytest.mark.parametrize("text", ["[" * 100000, "1" * 5000], ids=["deep", "long-int"])
     def test_unparsable_json_is_format_error(self, reader, text):
@@ -257,6 +286,17 @@ class TestDetectionDump:
     def test_score_range_enforced(self):
         with pytest.raises(FormatError, match="score"):
             read_detections('[{"image_id": 0, "category_id": 0, "bbox": [0,0,1,1], "score": 1.5}]')
+
+    @pytest.mark.parametrize("field, value", [
+        ("image_id", 1.7), ("image_id", True), ("category_id", "3"),
+        ("bbox", ["1", 0, 1, 1]), ("bbox", [0, True, 1, 1]), ("bbox", "1234"),
+        ("score", "0.5"), ("score", True),
+    ])
+    def test_mistyped_fields_are_format_errors(self, field, value):
+        record = {"image_id": 0, "category_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5}
+        record[field] = value
+        with pytest.raises(FormatError, match="bad record"):
+            read_detections(json.dumps([record]))
 
     def test_bad_record(self):
         with pytest.raises(FormatError, match="bad record"):

@@ -10,6 +10,7 @@ import json
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,6 +97,13 @@ ANNOTATIONS = {
 }
 DETECTIONS = [{"image_id": 1, "category_id": 2, "bbox": [4, 5, 0, 12], "score": 0.9}]
 
+# Every id field, as (reader, document, path to the field).
+ID_FIELDS = [(read_annotations, ANNOTATIONS, (section, 0, key)) for section, key in [
+    ("images", "id"), ("annotations", "id"), ("annotations", "image_id"),
+    ("annotations", "category_id"), ("categories", "id"),
+]] + [(read_detections, DETECTIONS, (0, key)) for key in ("image_id", "category_id")]
+NON_INTEGERS = (AWKWARD | JSON_VALUES).filter(lambda v: type(v) is not int)
+
 # Dims worth hitting on purpose: zero (an empty payload that still has to be
 # reshaped) next to ones whose product overflows what numpy can allocate.
 DIMS = st.sampled_from([0, 1, 2, 3, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1)
@@ -140,3 +148,15 @@ class TestFuzzReaders:
            | spliced(json.dumps(DETECTIONS), st.text(max_size=6)))
     def test_read_detections(self, text):
         accepts_or_format_error(read_detections, text)
+
+    @FUZZ
+    @given(st.sampled_from(ID_FIELDS), NON_INTEGERS)
+    def test_non_integer_id_is_format_error(self, field, value):
+        reader, doc, path = field
+        doc = json.loads(json.dumps(doc))
+        record = doc
+        for key in path[:-1]:
+            record = record[key]
+        record[path[-1]] = value
+        with pytest.raises(FormatError):
+            reader(json.dumps(doc))

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from oracle_helpers import brute_force_map, evaluate_reference, match_detections_reference
 from y11 import metrics
 from y11.metrics import (
-    PRCurve,
+    ClassMatches,
     average_precision,
     default_thresholds,
     evaluate,
     iou,
     match_detections,
-    mean_ap,
-    pr_curve,
     precision_recall_f1,
 )
 
@@ -152,21 +150,21 @@ class TestPRF:
 
 class TestAveragePrecision:
     def test_single_tp(self):
-        curve = pr_curve(match_detections([det(0, 0, 0.9, B)], [gt(0, 0, B)], 0.5).classes[0])
-        assert average_precision(curve) == 1.0
+        matches = match_detections([det(0, 0, 0.9, B)], [gt(0, 0, B)], 0.5).classes[0]
+        assert average_precision(matches) == 1.0
 
     def test_fp_then_tp(self):
         dets = [det(0, 0, 0.9, (40, 40, 50, 50)), det(0, 0, 0.5, B)]
-        curve = pr_curve(match_detections(dets, [gt(0, 0, B)], 0.5).classes[0])
-        assert abs(average_precision(curve) - 0.5) < 1e-9
+        matches = match_detections(dets, [gt(0, 0, B)], 0.5).classes[0]
+        assert abs(average_precision(matches) - 0.5) < 1e-9
 
     def test_all_fp(self):
         dets = [det(0, 0, 0.9, (40, 40, 50, 50))]
-        curve = pr_curve(match_detections(dets, [gt(0, 0, B)], 0.5).classes[0])
-        assert average_precision(curve) == 0.0
+        matches = match_detections(dets, [gt(0, 0, B)], 0.5).classes[0]
+        assert average_precision(matches) == 0.0
 
     def test_zero_gt_sentinel(self):
-        assert average_precision(PRCurve(np.array([]), np.array([]), 0)) is None
+        assert average_precision(ClassMatches(np.array([]), np.array([], dtype=bool), 0)) is None
 
     def test_score_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)
@@ -178,12 +176,12 @@ class TestAveragePrecision:
     def test_appending_fp_never_increases(self):
         rng = np.random.default_rng(2)
         dets, gts = _random_eval_case(rng, images=3, classes=1, n_gt=8, n_det=10)
-        curve = pr_curve(match_detections(dets, gts, 0.5).classes[0])
-        base = average_precision(curve)
+        matches = match_detections(dets, gts, 0.5).classes[0]
+        base = average_precision(matches)
         min_score = min(d[2] for d in dets)
         worse = dets + [det(0, 0, min_score / 2, (900.0, 900.0, 901.0, 901.0))]
-        curve2 = pr_curve(match_detections(worse, gts, 0.5).classes[0])
-        assert average_precision(curve2) <= base + 1e-12
+        worse_matches = match_detections(worse, gts, 0.5).classes[0]
+        assert average_precision(worse_matches) <= base + 1e-12
 
     def test_appending_tp_never_decreases(self):
         rng = np.random.default_rng(3)
@@ -192,10 +190,10 @@ class TestAveragePrecision:
         # claims it; the gt set (the recall denominator) is fixed throughout.
         new_box = (500.0, 500.0, 510.0, 510.0)
         gts = gts + [gt(9, 0, new_box)]
-        base = average_precision(pr_curve(match_detections(dets, gts, 0.5).classes[0]))
+        base = average_precision(match_detections(dets, gts, 0.5).classes[0])
         min_score = min(d[2] for d in dets)
         dets2 = dets + [det(9, 0, min_score / 2, new_box)]
-        extended = average_precision(pr_curve(match_detections(dets2, gts, 0.5).classes[0]))
+        extended = average_precision(match_detections(dets2, gts, 0.5).classes[0])
         assert extended >= base - 1e-12
 
 
@@ -333,23 +331,27 @@ FIXTURE_GTS = [
 
 class TestMeanAP:
     def test_two_class_arithmetic(self):
-        table = {
-            0: {t: 1.0 for t in default_thresholds()},
-            1: {t: 0.5 for t in default_thresholds()},
-        }
-        by_thresh, overall = mean_ap(table, default_thresholds())
-        assert overall == 0.75
-        assert all(v == 0.75 for v in by_thresh.values())
+        # AP 1.0 for class 0 and 0.5 for class 1 at every threshold (IoUs are
+        # 1 or 0); class 9 has no ground truths and is left out of the mean.
+        far = (40, 40, 50, 50)
+        dets = [det(0, 0, 0.9, B), det(0, 1, 0.8, far), det(0, 1, 0.7, B), det(0, 9, 0.6, B)]
+        report = evaluate(dets, [gt(0, 0, B), gt(0, 1, B)])
+        assert report.map5095 == 0.75
+        assert all(v == 0.75 for v in report.map_by_thresh.values())
+        assert report.ap[9] == {t: None for t in default_thresholds()}
 
     def test_single_class(self):
-        table = {3: {t: 0.625 for t in default_thresholds()}}
-        _, overall = mean_ap(table, default_thresholds())
-        assert overall == 0.625
+        # TP, six FPs, TP over two ground truths: AP 0.5 * 1 + 0.5 * 2/8.
+        other = (40, 40, 50, 50)
+        dets = [det(0, 3, 0.9, B)] + [det(1, 3, 0.8 - 0.1 * i, B) for i in range(6)]
+        dets.append(det(0, 3, 0.1, other))
+        report = evaluate(dets, [gt(0, 3, B), gt(0, 3, other)])
+        assert report.class_ids == [3]
+        assert report.map5095 == 0.625
 
     def test_no_evaluable_class(self):
-        table = {0: {t: None for t in default_thresholds()}}
-        with pytest.raises(ValueError, match="no class"):
-            mean_ap(table, default_thresholds())
+        with pytest.raises(ValueError, match="no class with ground truths"):
+            evaluate([det(0, 0, 0.9, B)], [])
 
     def test_fixture_matches_brute_force_oracle(self):
         report = evaluate(FIXTURE_DETS, FIXTURE_GTS)
