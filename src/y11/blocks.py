@@ -36,7 +36,6 @@ from .tensor import (
 __all__ = [
     "ConvBlock",
     "Bottleneck",
-    "C2F",
     "C3K",
     "C3K2",
     "SPPF",
@@ -199,20 +198,10 @@ class Bottleneck(_Composite):
         return self.out_channels * h * w
 
 
-class C2F(_Composite):
-    """CSP block: split the entry output in half, chain bottlenecks on one half,
-    concatenate every intermediate, and project back down with a 1x1 conv."""
-
-    def __init__(self, c1: int, c2: int, n: int, e: float = 0.5) -> None:
-        self.c_hidden = int(c2 * e)
-        if self.c_hidden < 1:
-            raise ValueError("hidden channel count must be positive")
-        self.cv1 = ConvBlock.create(c1, 2 * self.c_hidden, k=1)
-        self.units = [self._unit() for _ in range(n)]
-        self.cv2 = ConvBlock.create((2 + n) * self.c_hidden, c2, k=1)
-
-    def _unit(self) -> object:
-        return Bottleneck(self.c_hidden)
+class _CSP(_Composite):
+    """CSP skeleton: cv1 makes two `c_hidden` halves, the units chain on the
+    last, and cv2 projects the concatenation of every intermediate. A
+    subclass builds `c_hidden`, `cv1`, `units` and `cv2`."""
 
     def children(self) -> list[tuple[str, object]]:
         out: list[tuple[str, object]] = [("cv1", self.cv1)]
@@ -252,17 +241,17 @@ class C3K(_Composite):
         return self.cv3(concat_channels([y, self.cv2(x)]))
 
 
-class C3K2(C2F):
-    """C2F topology whose inner units are either plain bottlenecks or C3K blocks."""
+class C3K2(_CSP):
+    """The CSP block of YOLOv11: n inner bottlenecks, or C3K blocks if `c3k`."""
 
     def __init__(self, c1: int, c2: int, n: int, c3k: bool = False, e: float = 0.5) -> None:
-        self.c3k = c3k  # read by _unit while C2F.__init__ builds the units
-        super().__init__(c1, c2, n, e)
-
-    def _unit(self) -> object:
-        if self.c3k:
-            return C3K(self.c_hidden)
-        return super()._unit()
+        self.c_hidden = int(c2 * e)
+        if self.c_hidden < 1:
+            raise ValueError("hidden channel count must be positive")
+        self.cv1 = ConvBlock.create(c1, 2 * self.c_hidden, k=1)
+        unit = C3K if c3k else Bottleneck
+        self.units = [unit(self.c_hidden) for _ in range(n)]
+        self.cv2 = ConvBlock.create((2 + n) * self.c_hidden, c2, k=1)
 
 
 class SPPF(_Composite):
@@ -354,7 +343,7 @@ class PSABlock(_Composite):
         return 2 * self.out_channels * h * w  # two residual adds
 
 
-class C2PSA(_Composite):
+class C2PSA(_CSP):
     """CSP-wrapped attention that keeps its width c: split the entry output in
     halves, run PSA blocks on one half, concatenate, and project back to c."""
 
@@ -366,12 +355,6 @@ class C2PSA(_Composite):
         heads = max(1, self.c_hidden // 64)
         self.units = [PSABlock(self.c_hidden, heads) for _ in range(n)]
         self.cv2 = ConvBlock.create(2 * self.c_hidden, c, k=1)
-
-    def children(self) -> list[tuple[str, object]]:
-        out: list[tuple[str, object]] = [("cv1", self.cv1)]
-        out += [(f"m{i}", u) for i, u in enumerate(self.units)]
-        out.append(("cv2", self.cv2))
-        return out
 
     def forward(self, x: Tensor) -> Tensor:
         a, b = split_channels(self.cv1(x), [self.c_hidden, self.c_hidden])

@@ -118,7 +118,6 @@ class DetectHead:
     def __init__(self, chs: Sequence[int], num_classes: int, reg_max: int) -> None:
         if len(chs) != 3:
             raise ValueError(f"head expects three input scales, got {len(chs)}")
-        self.in_channels = tuple(chs)
         self.num_classes = num_classes
         self.reg_max = reg_max
         box_c = max(16, chs[0] // 4, 4 * reg_max)

@@ -275,9 +275,13 @@ def read_annotations(text: str) -> AnnotationSet:
     images = []
     for item in doc["images"]:
         try:
-            images.append(ImageInfo(*(_typed(item[k], _INT) for k in ("id", "width", "height"))))
+            image = ImageInfo(*(_typed(item[k], _INT) for k in ("id", "width", "height")))
         except _BAD_RECORD as exc:
             raise FormatError(f"annotations: bad image record {item!r}: {exc}") from None
+        if image.width < 1 or image.height < 1:
+            raise FormatError(f"annotations: image {image.id} has non-positive size "
+                              f"{image.width}x{image.height}")
+        images.append(image)
     categories = []
     for item in doc["categories"]:
         try:
@@ -285,9 +289,9 @@ def read_annotations(text: str) -> AnnotationSet:
         except _BAD_RECORD as exc:
             raise FormatError(f"annotations: bad category record {item!r}: {exc}") from None
 
-    image_ids = {im.id for im in images}
+    image_by_id = {im.id: im for im in images}
     category_ids = {c.id for c in categories}
-    if len(image_ids) != len(images):
+    if len(image_by_id) != len(images):
         raise FormatError("annotations: duplicate image id")
     if len(category_ids) != len(categories):
         raise FormatError("annotations: duplicate category id")
@@ -305,7 +309,7 @@ def read_annotations(text: str) -> AnnotationSet:
             raise FormatError(f"annotations: bad annotation record {item!r}: {exc}") from None
         if len(ann.bbox) != 4:
             raise FormatError(f"annotations: annotation {ann.id}: bbox must have 4 numbers")
-        if ann.image_id not in image_ids:
+        if ann.image_id not in image_by_id:
             raise FormatError(
                 f"annotations: annotation {ann.id} references unknown image_id {ann.image_id}"
             )
@@ -317,6 +321,11 @@ def read_annotations(text: str) -> AnnotationSet:
             raise FormatError(f"annotations: annotation {ann.id} has a non-finite bbox value")
         if ann.bbox[2] <= 0 or ann.bbox[3] <= 0:
             raise FormatError(f"annotations: annotation {ann.id} has non-positive box dims")
+        x, y, w, h = ann.bbox
+        image = image_by_id[ann.image_id]
+        if x >= image.width or y >= image.height or x + w <= 0 or y + h <= 0:
+            raise FormatError(f"annotations: annotation {ann.id} lies wholly outside image "
+                              f"{image.id} ({image.width}x{image.height})")
         annotations.append(ann)
     if len({a.id for a in annotations}) != len(annotations):
         raise FormatError("annotations: duplicate annotation id")
@@ -372,6 +381,6 @@ def read_detections(text: str) -> list[DumpDetection]:
         if det.bbox[2] < 0 or det.bbox[3] < 0:
             raise FormatError(f"detections: record {k} has negative box dims: {item!r}")
         if not 0.0 <= det.score <= 1.0:
-            raise FormatError(f"detections: score {det.score} outside [0, 1]")
+            raise FormatError(f"detections: record {k} has a score outside [0, 1]: {item!r}")
         out.append(det)
     return out

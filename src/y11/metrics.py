@@ -10,7 +10,7 @@ truths are (image_id, class_id, (x1, y1, x2, y2)); boxes use pixel xyxy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "iou",
     "ClassMatches",
-    "MatchLedger",
     "match_detections",
     "precision_recall_f1",
     "average_precision",
@@ -70,27 +69,20 @@ class ClassMatches:
         return self.num_gt - self.tp
 
 
-@dataclass
-class MatchLedger:
-    """Per-class TP/FP flags (score-ordered) and ground-truth counts."""
-
-    iou_thresh: float
-    classes: dict[int, ClassMatches] = field(default_factory=dict)
-
-
 def match_detections(
     dets: Iterable[DetTuple], gts: Iterable[GtTuple], iou_thresh: float
-) -> MatchLedger:
+) -> dict[int, ClassMatches]:
     """Greedy matching: detections in descending score order claim their
     best-IoU unmatched same-class ground truth in the same image; a claim
     counts as TP iff that IoU >= iou_thresh. Each ground truth matches once.
+    Returns the score-ordered TP flags and ground-truth count per class.
     """
     return _match_sweep(dets, gts, [iou_thresh])[0]
 
 
 def _match_sweep(
     dets: Iterable[DetTuple], gts: Iterable[GtTuple], thresholds: Sequence[float]
-) -> list[MatchLedger]:
+) -> list[dict[int, ClassMatches]]:
     """`match_detections` at every threshold, in one pass over the detections.
 
     Detections are ranked once by descending score (ties keep input order),
@@ -132,7 +124,7 @@ def _match_sweep(
         classes.append((cid, rows, ranked_scores[rows], num_gt.get(cid, 0)))
     n_gt = sum(num_gt.values())
 
-    ledgers = []
+    results = []
     for t in thresholds:
         taken = [False] * n_gt
         is_tp = np.zeros(len(dets), dtype=bool)
@@ -146,11 +138,9 @@ def _match_sweep(
             if best_g >= 0 and best_iou >= t:
                 taken[best_g] = True
                 is_tp[rank] = True
-        ledger = MatchLedger(t)
-        for cid, rows, class_scores, class_gt in classes:
-            ledger.classes[cid] = ClassMatches(class_scores, is_tp[rows], class_gt)
-        ledgers.append(ledger)
-    return ledgers
+        results.append({cid: ClassMatches(class_scores, is_tp[rows], class_gt)
+                        for cid, rows, class_scores, class_gt in classes})
+    return results
 
 
 def precision_recall_f1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -213,8 +203,8 @@ def evaluate(
     if 0.5 not in thresholds:
         raise ValueError(f"thresholds {thresholds} must include 0.5 for mAP@0.5")
     ap: dict[int, dict[float, float | None]] = {}
-    for t, ledger in zip(thresholds, _match_sweep(dets, gts, thresholds)):
-        for cid, matches in ledger.classes.items():
+    for t, by_class in zip(thresholds, _match_sweep(dets, gts, thresholds)):
+        for cid, matches in by_class.items():
             ap.setdefault(cid, {})[t] = average_precision(matches)
     # mAP per threshold over the classes with ground truths, then over thresholds.
     map_by_thresh: dict[float, float] = {}
@@ -225,10 +215,10 @@ def evaluate(
         map_by_thresh[t] = float(np.mean(values))
 
     working = [d for d in dets if d[2] >= operating_conf]
-    ledger = match_detections(working, gts, 0.5)
-    tp = sum(m.tp for m in ledger.classes.values())
-    fp = sum(m.fp for m in ledger.classes.values())
-    fn = sum(m.fn for m in ledger.classes.values())
+    at_conf = match_detections(working, gts, 0.5).values()
+    tp = sum(m.tp for m in at_conf)
+    fp = sum(m.fp for m in at_conf)
+    fn = sum(m.fn for m in at_conf)
     p, r, f1 = precision_recall_f1(tp, fp, fn)
 
     return EvalReport(

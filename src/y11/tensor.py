@@ -82,10 +82,6 @@ class Tensor:
     def shape(self) -> tuple[int, int, int, int]:
         return self.data.shape  # type: ignore[return-value]
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.shape != other.shape:
             raise ValueError(f"cannot add tensors of shapes {self.shape} and {other.shape}")

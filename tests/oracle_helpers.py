@@ -283,7 +283,7 @@ def brute_force_map(dets, gts, thresholds):
 def match_detections_reference(dets, gts, iou_thresh: float):
     """Greedy matching at one threshold, re-sorting the detections and
     recomputing every IoU against the not-yet-taken ground truths of the key."""
-    from y11.metrics import ClassMatches, MatchLedger, iou
+    from y11.metrics import ClassMatches, iou
 
     gt_by_key = {}
     num_gt = {}
@@ -311,15 +311,15 @@ def match_detections_reference(dets, gts, iou_thresh: float):
             taken[best_j] = True
         flags.setdefault(class_id, []).append((score, is_tp))
 
-    ledger = MatchLedger(iou_thresh)
+    by_class = {}
     for cid in sorted(set(num_gt) | set(flags)):
         entries = flags.get(cid, [])
-        ledger.classes[cid] = ClassMatches(
+        by_class[cid] = ClassMatches(
             scores=np.array([s for s, _ in entries], dtype=np.float64),
             is_tp=np.array([t for _, t in entries], dtype=bool),
             num_gt=num_gt.get(cid, 0),
         )
-    return ledger
+    return by_class
 
 
 def evaluate_reference(dets, gts, thresholds, operating_conf: float = 0.25):
@@ -329,7 +329,7 @@ def evaluate_reference(dets, gts, thresholds, operating_conf: float = 0.25):
     thresholds = list(thresholds)
     ap = {}
     for t in thresholds:
-        for cid, matches in match_detections_reference(dets, gts, t).classes.items():
+        for cid, matches in match_detections_reference(dets, gts, t).items():
             ap.setdefault(cid, {})[t] = average_precision(matches)
     map_by_thresh = {
         t: float(np.mean([aps[t] for aps in ap.values() if aps[t] is not None]))
@@ -339,9 +339,9 @@ def evaluate_reference(dets, gts, thresholds, operating_conf: float = 0.25):
 
     working = [d for d in dets if d[2] >= operating_conf]
     ledger = match_detections_reference(working, gts, 0.5)
-    tp = sum(m.tp for m in ledger.classes.values())
-    fp = sum(m.fp for m in ledger.classes.values())
-    fn = sum(m.fn for m in ledger.classes.values())
+    tp = sum(m.tp for m in ledger.values())
+    fp = sum(m.fp for m in ledger.values())
+    fn = sum(m.fn for m in ledger.values())
     p, r, f1 = precision_recall_f1(tp, fp, fn)
     return EvalReport(thresholds, sorted(ap), ap, map_by_thresh, map_by_thresh[0.5], map5095,
                       operating_conf, p, r, f1)

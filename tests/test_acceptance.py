@@ -177,13 +177,13 @@ def test_criterion_07_metrics_exactness():
 
     box = (0.0, 0.0, 10.0, 10.0)
     far = (50.0, 50.0, 60.0, 60.0)
-    single = match_detections([(0, 0, 0.9, box)], [(0, 0, box)], 0.5).classes[0]
+    single = match_detections([(0, 0, 0.9, box)], [(0, 0, box)], 0.5)[0]
     assert abs(average_precision(single) - 1.0) < 1e-9
     fp_tp = match_detections(
         [(0, 0, 0.9, far), (0, 0, 0.5, box)], [(0, 0, box)], 0.5
-    ).classes[0]
+    )[0]
     assert abs(average_precision(fp_tp) - 0.5) < 1e-9
-    all_fp = match_detections([(0, 0, 0.9, far)], [(0, 0, box)], 0.5).classes[0]
+    all_fp = match_detections([(0, 0, 0.9, far)], [(0, 0, box)], 0.5)[0]
     assert abs(average_precision(all_fp) - 0.0) < 1e-9
 
     from test_metrics import FIXTURE_DETS, FIXTURE_GTS

@@ -5,7 +5,6 @@ import pytest
 from conftest import random_tensor
 from y11 import blocks
 from y11.blocks import (
-    C2F,
     C2PSA,
     C3K,
     C3K2,
@@ -135,19 +134,21 @@ class TestBottleneck:
 
 
 class TestC2F:
+    """C3K2 with bottleneck units: the C2f topology."""
+
     def test_empty_chain_equals_exit_of_entry(self):
-        block = randomize(C2F(8, 8, n=0), 0)
+        block = randomize(C3K2(8, 8, n=0, c3k=False), 0)
         x = random_tensor(np.random.default_rng(1), 1, 8, 6, 6)
         want = block.cv2(block.cv1(x))
         assert np.array_equal(block(x).data, want.data)
 
     def test_exit_sees_expected_channels(self):
-        block = C2F(8, 8, n=2)  # c_hidden = 4
+        block = C3K2(8, 8, n=2, c3k=False)  # c_hidden = 4
         assert block.c_hidden == 4
         assert block.cv2.spec.in_channels == (2 + 2) * 4 == 16
 
     def test_zero_bottlenecks_chain_passthrough(self):
-        block = randomize(C2F(8, 8, n=3), 2)
+        block = randomize(C3K2(8, 8, n=3, c3k=False), 2)
         for unit in block.units:
             zero_weights(unit)
         x = random_tensor(np.random.default_rng(3), 1, 8, 5, 5)
@@ -184,18 +185,6 @@ class TestC3K:
 
 
 class TestC3K2:
-    def test_flag_false_equals_c2f(self):
-        a = randomize(C3K2(8, 8, n=2, c3k=False), 0)
-        b = C2F(8, 8, n=2)
-        leaves_a = list(iter_leaf_blocks(a))
-        leaves_b = list(iter_leaf_blocks(b))
-        assert [p for p, _ in leaves_a] == [p for p, _ in leaves_b]
-        for (_, la), (_, lb) in zip(leaves_a, leaves_b):
-            for name, arr in la.entries():
-                lb.set_entry(name, arr)
-        x = random_tensor(np.random.default_rng(1), 1, 8, 6, 6)
-        assert np.array_equal(a(x).data, b(x).data)
-
     def test_shape_with_c3k_units(self):
         block = C3K2(32, 32, n=1, c3k=True, e=0.5)
         x = Tensor(np.zeros((1, 32, 20, 20)))

@@ -241,6 +241,23 @@ class TestAnnotations:
         with pytest.raises(FormatError, match="duplicate annotation id"):
             read_annotations(json.dumps(doc))
 
+    def test_impossible_image_or_box_rejected(self):
+        doc = json.loads(MINIMAL_ANNS)  # image 64x48
+        for width, height in [(-5, 0), (0, 48), (64, 0)]:
+            doc["images"][0].update(width=width, height=height)
+            with pytest.raises(FormatError, match="image 1 has non-positive size"):
+                read_annotations(json.dumps(doc))
+        doc["images"][0].update(width=64, height=48)
+        for bbox in ([400, 500, 10, 12], [64, 5, 10, 12], [4, 48, 10, 12],
+                     [-10, 5, 10, 12], [4, -12.5, 10, 12.5]):
+            doc["annotations"][0]["bbox"] = bbox
+            with pytest.raises(FormatError, match="annotation 10 lies wholly outside image 1"):
+                read_annotations(json.dumps(doc))
+        # A box that overlaps its image by any amount stays legal.
+        for bbox in ([60, 40, 10, 12], [-9.99, -11.99, 10, 12], [63.99, 47.99, 0.01, 0.01]):
+            doc["annotations"][0]["bbox"] = bbox
+            assert read_annotations(json.dumps(doc)).annotations[0].bbox == tuple(bbox)
+
     @pytest.mark.parametrize("reader", [read_annotations, read_detections])
     @pytest.mark.parametrize("text", ["[" * 100000, "1" * 5000], ids=["deep", "long-int"])
     def test_unparsable_json_is_format_error(self, reader, text):
@@ -286,6 +303,14 @@ class TestDetectionDump:
     def test_score_range_enforced(self):
         with pytest.raises(FormatError, match="score"):
             read_detections('[{"image_id": 0, "category_id": 0, "bbox": [0,0,1,1], "score": 1.5}]')
+
+    def test_score_range_error_names_the_record(self):
+        good = '{"image_id": 0, "category_id": 0, "bbox": [0, 0, 1, 1], "score": 0.5}'
+        for score in ("1.5", "-0.25"):
+            bad = good.replace("0.5", score)
+            message = rf"record 1 has a score outside \[0, 1\]: \{{.*'score': {score}\}}"
+            with pytest.raises(FormatError, match=message):
+                read_detections(f"[{good}, {bad}]")
 
     @pytest.mark.parametrize("field, value", [
         ("image_id", 1.7), ("image_id", True), ("category_id", "3"),

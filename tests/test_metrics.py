@@ -74,36 +74,36 @@ TIE_GTS = [gt(0, 0, (0.0, 0.0, 10.0, 5.0)), gt(0, 0, (0.0, 5.0, 10.0, 10.0))]
 class TestMatching:
     def test_perfect_match(self):
         ledger = match_detections([det(0, 1, 0.9, B)], [gt(0, 1, B)], 0.5)
-        m = ledger.classes[1]
+        m = ledger[1]
         assert (m.tp, m.fp, m.fn) == (1, 0, 0)
 
     def test_two_dets_one_gt(self):
         ledger = match_detections(
             [det(0, 1, 0.6, B), det(0, 1, 0.9, B)], [gt(0, 1, B)], 0.5
         )
-        m = ledger.classes[1]
+        m = ledger[1]
         assert (m.tp, m.fp) == (1, 1)
         assert m.is_tp[0] and not m.is_tp[1]  # higher score wins the gt
 
     def test_below_threshold(self):
         shifted = (0.0, 6.0, 10.0, 16.0)  # IoU with B = 4/16 = 0.25 < 0.5
         ledger = match_detections([det(0, 1, 0.9, shifted)], [gt(0, 1, B)], 0.5)
-        m = ledger.classes[1]
+        m = ledger[1]
         assert (m.tp, m.fp, m.fn) == (0, 1, 1)
 
     def test_class_and_image_isolation(self):
         dets = [det(0, 1, 0.9, B), det(1, 2, 0.8, B)]
         gts = [gt(0, 2, B), gt(1, 1, B)]
         ledger = match_detections(dets, gts, 0.5)
-        assert ledger.classes[1].tp == 0  # right class, wrong image
-        assert ledger.classes[2].tp == 0
+        assert ledger[1].tp == 0  # right class, wrong image
+        assert ledger[2].tp == 0
 
     def test_equal_iou_tie_goes_to_first_ground_truth(self):
         # The 0.9 detection has IoU 0.5 with both halves of itself and claims
         # the first listed; the 0.8 detection equals that half, so it loses.
         dets, gts = TIE_DETS, TIE_GTS
-        assert list(match_detections(dets, gts, 0.5).classes[0].is_tp) == [True, False]
-        assert list(match_detections(dets, gts[::-1], 0.5).classes[0].is_tp) == [True, True]
+        assert list(match_detections(dets, gts, 0.5)[0].is_tp) == [True, False]
+        assert list(match_detections(dets, gts[::-1], 0.5)[0].is_tp) == [True, True]
 
     def test_invalid_box_sharing_a_key_raises(self):
         # Scored against every ground truth of its key, even one already taken.
@@ -127,7 +127,7 @@ class TestMatching:
         per_class_gts = {}
         for g in gts:
             per_class_gts[g[1]] = per_class_gts.get(g[1], 0) + 1
-        for cid, m in ledger.classes.items():
+        for cid, m in ledger.items():
             assert m.tp + m.fn == per_class_gts.get(cid, 0)
 
 
@@ -150,17 +150,17 @@ class TestPRF:
 
 class TestAveragePrecision:
     def test_single_tp(self):
-        matches = match_detections([det(0, 0, 0.9, B)], [gt(0, 0, B)], 0.5).classes[0]
+        matches = match_detections([det(0, 0, 0.9, B)], [gt(0, 0, B)], 0.5)[0]
         assert average_precision(matches) == 1.0
 
     def test_fp_then_tp(self):
         dets = [det(0, 0, 0.9, (40, 40, 50, 50)), det(0, 0, 0.5, B)]
-        matches = match_detections(dets, [gt(0, 0, B)], 0.5).classes[0]
+        matches = match_detections(dets, [gt(0, 0, B)], 0.5)[0]
         assert abs(average_precision(matches) - 0.5) < 1e-9
 
     def test_all_fp(self):
         dets = [det(0, 0, 0.9, (40, 40, 50, 50))]
-        matches = match_detections(dets, [gt(0, 0, B)], 0.5).classes[0]
+        matches = match_detections(dets, [gt(0, 0, B)], 0.5)[0]
         assert average_precision(matches) == 0.0
 
     def test_zero_gt_sentinel(self):
@@ -176,11 +176,11 @@ class TestAveragePrecision:
     def test_appending_fp_never_increases(self):
         rng = np.random.default_rng(2)
         dets, gts = _random_eval_case(rng, images=3, classes=1, n_gt=8, n_det=10)
-        matches = match_detections(dets, gts, 0.5).classes[0]
+        matches = match_detections(dets, gts, 0.5)[0]
         base = average_precision(matches)
         min_score = min(d[2] for d in dets)
         worse = dets + [det(0, 0, min_score / 2, (900.0, 900.0, 901.0, 901.0))]
-        worse_matches = match_detections(worse, gts, 0.5).classes[0]
+        worse_matches = match_detections(worse, gts, 0.5)[0]
         assert average_precision(worse_matches) <= base + 1e-12
 
     def test_appending_tp_never_decreases(self):
@@ -190,10 +190,10 @@ class TestAveragePrecision:
         # claims it; the gt set (the recall denominator) is fixed throughout.
         new_box = (500.0, 500.0, 510.0, 510.0)
         gts = gts + [gt(9, 0, new_box)]
-        base = average_precision(match_detections(dets, gts, 0.5).classes[0])
+        base = average_precision(match_detections(dets, gts, 0.5)[0])
         min_score = min(d[2] for d in dets)
         dets2 = dets + [det(9, 0, min_score / 2, new_box)]
-        extended = average_precision(match_detections(dets2, gts, 0.5).classes[0])
+        extended = average_precision(match_detections(dets2, gts, 0.5)[0])
         assert extended >= base - 1e-12
 
 
@@ -263,10 +263,9 @@ SWEEP = [0.0] + default_thresholds() + [1.0]
 
 
 def _assert_ledgers_bitwise_equal(got, want):
-    assert got.iou_thresh == want.iou_thresh
-    assert list(got.classes) == list(want.classes)
-    for cid, w in want.classes.items():
-        g = got.classes[cid]
+    assert list(got) == list(want)
+    for cid, w in want.items():
+        g = got[cid]
         assert g.num_gt == w.num_gt
         for a, b in ((g.scores, w.scores), (g.is_tp, w.is_tp)):
             assert a.dtype == b.dtype and a.shape == b.shape

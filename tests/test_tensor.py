@@ -38,7 +38,7 @@ class TestTensor:
     def test_properties(self):
         t = Tensor(np.zeros((2, 3, 4, 5)))
         assert (t.n, t.c, t.h, t.w) == (2, 3, 4, 5)
-        assert t.size == 2 * 3 * 4 * 5
+        assert t.data.size == 2 * 3 * 4 * 5
 
     def test_add_shape_mismatch(self):
         with pytest.raises(ValueError):
