@@ -35,6 +35,7 @@ from .tensor import (
 
 __all__ = [
     "ConvBlock",
+    "NonFiniteFold",
     "Bottleneck",
     "C3K",
     "C3K2",
@@ -53,6 +54,15 @@ _SOFTMAX_COST = 5
 _SPPF_POOL = 5  # kernel of each of SPPF's three chained max-pools
 
 
+class NonFiniteFold(ValueError):
+    """A ConvBlock whose parameters fold to a non-finite weight or bias; the
+    graph that owns `leaf` names it by its weight-file prefix."""
+
+    def __init__(self, leaf: "ConvBlock", part: str, channel: int) -> None:
+        super().__init__(f"weights fold to a non-finite {part} in output channel {channel}")
+        self.leaf = leaf
+
+
 class ConvBlock:
     """Convolution, optional batch-norm, optional SiLU; the universal leaf.
 
@@ -60,7 +70,9 @@ class ConvBlock:
     the FLOP model read them. `forward` runs one convolution with the
     batch-norm folded into its weight and bias (`fold_batchnorm`), computed on
     the first call and cached; a leaf without batch-norm runs `spec` itself.
-    `set_entry` drops the cached fold, so parameters must change through it.
+    That first call also refuses a non-finite folded weight or bias
+    (NonFiniteFold). `set_entry` drops the cached fold, so parameters must
+    change through it.
     """
 
     def __init__(self, spec: ConvSpec, bn: BatchNormParams | None, act: str = "silu") -> None:
@@ -90,11 +102,23 @@ class ConvBlock:
 
     def forward(self, x: Tensor) -> Tensor:
         if self._folded is None:
-            self._folded = self.spec if self.bn is None else fold_batchnorm(self.spec, self.bn)
+            self._folded = self._fold()
         y = conv2d(x, self._folded)
         return silu(y) if self.act == "silu" else y
 
     __call__ = forward
+
+    def _fold(self) -> ConvSpec:
+        """The spec `forward` runs. Non-finite parameters (a NaN or Inf weight,
+        bias, gamma, beta or mean, or an overflowing fold) raise
+        NonFiniteFold here, once, rather than spreading through the network."""
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            folded = self.spec if self.bn is None else fold_batchnorm(self.spec, self.bn)
+        for part, arr in (("weight", folded.weight), ("bias", folded.bias)):
+            if arr is not None and not np.isfinite(arr).all():
+                bad = ~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1)
+                raise NonFiniteFold(self, part, int(np.flatnonzero(bad)[0]))
+        return folded
 
     def entries(self) -> Iterator[tuple[str, np.ndarray]]:
         """Parameter arrays in canonical order (weight, bias, gamma, beta, mean, var)."""

@@ -359,11 +359,26 @@ _COMMANDS = {
 }
 
 
+def _join_sweep(argv: list[str]) -> list[str]:
+    """`--sweep VALUE` as `--sweep=VALUE`. argparse reads a separate value
+    that starts with '-', such as a negative start, as a flag, so only the
+    joined form reaches `_parse_sweep` and its range check."""
+    out, i = [], 0
+    while i < len(argv) and argv[i] != "--":
+        if argv[i] == "--sweep" and i + 1 < len(argv):
+            out.append(f"--sweep={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out + argv[i:]
+
+
 def main(argv=None) -> int:
     _apply_thread_cap()
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_sweep(sys.argv[1:] if argv is None else list(argv)))
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .blocks import C2PSA, C3K2, SPPF, ConvBlock, iter_leaf_blocks
+from .blocks import C2PSA, C3K2, SPPF, ConvBlock, NonFiniteFold, iter_leaf_blocks
 from .tensor import ConvSpec, Tensor, concat_channels, upsample_nearest2x
 
 __all__ = [
@@ -267,14 +267,22 @@ class ModelGraph:
         return x
 
     def forward(self, image: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """Run the network; returns the three raw head tensors (P3, P4, P5)."""
+        """Run the network; returns the three raw head tensors (P3, P4, P5).
+
+        A leaf whose parameters fold to a non-finite weight or bias raises
+        ValueError naming its weight-file prefix (e.g. `layer23.box0.2`).
+        """
         if image.c != 3:
             raise ValueError(f"expected 3 input channels, got {image.c}")
         if image.h % 32 or image.w % 32:
             raise ValueError(
                 f"input size {image.h}x{image.w} must be divisible by 32"
             )
-        return self._walk(image, _run_layer)
+        try:
+            return self._walk(image, _run_layer)
+        except NonFiniteFold as err:
+            path = next(path for path, leaf in self.named_leaf_blocks() if leaf is err.leaf)
+            raise ValueError(f"{path}: {err}") from None
 
     # -- parameter traversal ----------------------------------------------
 

@@ -274,21 +274,29 @@ def fold_batchnorm(spec: ConvSpec, bn: BatchNormParams) -> ConvSpec:
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:
-    """Elementwise 1 / (1 + exp(-a)) of a float array, as a new array; image in
-    [0, 1]. Where exp(-a) overflows to inf the reciprocal is exactly 0, the
-    correct limit, so the overflow is silenced."""
-    e = np.negative(a)
+    """Elementwise 1 / (1 + exp(-a)) of a float array, as a new float32 array;
+    image in [0, 1]. It is computed in float64 and rounded once to float32,
+    so it is exactly monotone: a float32-only form can step down by an ulp
+    where rounding errors of exp, the add and the reciprocal meet. Where
+    exp(-a) overflows to inf the reciprocal is exactly 0, the correct limit,
+    so the overflow is silenced."""
+    e = np.negative(a, dtype=np.float64)
     with np.errstate(over="ignore"):
         np.exp(e, out=e)
     e += 1
-    return np.reciprocal(e, out=e)
+    return np.reciprocal(e, out=e).astype(np.float32)
 
 
 def silu(x: Tensor) -> Tensor:
-    """Elementwise x * sigmoid(x)."""
-    out = sigmoid(x.data)
-    out *= x.data
-    return Tensor._wrap(out)
+    """Elementwise x * sigmoid(x) in float32: x times the reciprocal of
+    1 + exp(-x). Where exp(-x) overflows to inf the product is -0.0, the
+    correct limit, so the overflow is silenced."""
+    d = np.negative(x.data)
+    with np.errstate(over="ignore"):
+        np.exp(d, out=d)
+    d += 1
+    np.reciprocal(d, out=d)
+    return Tensor._wrap(np.multiply(d, x.data, out=d))
 
 
 def _max_taps(a: np.ndarray, axis: int, k: int, stride: int, n_out: int) -> np.ndarray:
@@ -353,9 +361,19 @@ def split_channels(x: Tensor, sizes: Sequence[int]) -> list[Tensor]:
     return out
 
 
+_SHORT_ROW = 32  # softmax rows up to this long take their maximum column by column
+
+
 def softmax_lastaxis(a: np.ndarray) -> np.ndarray:
     """Row-stable softmax over the last axis of an arbitrary float array."""
     a = np.asarray(a, dtype=np.float32)
-    shifted = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    if a.shape[-1] <= _SHORT_ROW:
+        # numpy's max reduction costs more per row than a short row is long
+        # (the decode's 16-bin rows); a running maximum gives the same value
+        top = a[..., :1].copy(order="K")
+        for i in range(1, a.shape[-1]):
+            np.maximum(top, a[..., i : i + 1], out=top)
+    else:
+        top = a.max(axis=-1, keepdims=True)
+    e = np.exp(a - top)
     return e / e.sum(axis=-1, keepdims=True)

@@ -13,7 +13,13 @@ greedy loop and evaluation that `metrics._match_sweep` replaced, scoring with
 the package's scalar `iou` and building its ledger and report types.
 `unletterbox_reference` and `init_random_reference` are the per-record and
 per-leaf loops that `postprocess.unletterbox` and `ModelGraph.init_random`
-replaced.
+replaced. `decode_head_reference` and `nms_reference` are the per-scale decode
+and the per-record greedy NMS that the columnar `postprocess.decode_head` and
+`postprocess.nms` replaced; the decode drives the package's `sigmoid` and
+`softmax_lastaxis`. `softmax_reference` is `softmax_lastaxis` with the row
+maximum taken by numpy's reduction for every row length, and
+`letterbox_reference` is `postprocess.letterbox` with its resize as one 2-D
+fancy index.
 """
 from __future__ import annotations
 
@@ -182,6 +188,97 @@ def unletterbox_reference(dets, meta):
         )
         out.append(Detection(d.class_id, d.score, box))
     return out
+
+
+def letterbox_reference(image, target: int):
+    from y11.postprocess import PAD_VALUE, LetterboxMeta
+    from y11.tensor import Tensor
+
+    h, w = image.h, image.w
+    scale = min(target / w, target / h)
+    new_w, new_h = max(1, round(w * scale)), max(1, round(h * scale))
+    src_x = np.minimum((np.arange(new_w) + 0.5) * (w / new_w), w - 1).astype(np.int64)
+    src_y = np.minimum((np.arange(new_h) + 0.5) * (h / new_h), h - 1).astype(np.int64)
+    pad_left, pad_top = (target - new_w) // 2, (target - new_h) // 2
+    canvas = np.full((1, 3, target, target), PAD_VALUE, dtype=np.float32)
+    canvas[:, :, pad_top : pad_top + new_h, pad_left : pad_left + new_w] = (
+        image.data[:, :, src_y[:, None], src_x[None, :]]
+    )
+    return Tensor(canvas), LetterboxMeta(scale, pad_left, pad_top, w, h)
+
+
+def softmax_reference(a):
+    a = np.asarray(a, dtype=np.float32)
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def decode_head_reference(raw, strides, reg_max, num_classes, conf_thresh):
+    """One scale at a time: the cells whose best class score exceeds
+    conf_thresh, as `Detection` records in scale order, then cell order."""
+    from y11.postprocess import Detection
+    from y11.tensor import sigmoid, softmax_lastaxis
+
+    out = []
+    for tensor, stride in zip(raw, strides):
+        h, w = tensor.h, tensor.w
+        flat = tensor.data.reshape(4 * reg_max + num_classes, h * w)
+        cls_logits = flat[4 * reg_max :]
+        keep = sigmoid(cls_logits.max(axis=0)) > conf_thresh
+        if not np.any(keep):
+            continue
+        idx = np.flatnonzero(keep)
+        class_ids = cls_logits[:, idx].argmax(axis=0)
+        scores = sigmoid(cls_logits[class_ids, idx])
+        dist_logits = flat[: 4 * reg_max, idx].reshape(4, reg_max, idx.size)
+        probs = softmax_lastaxis(dist_logits.transpose(0, 2, 1))
+        dists = (probs @ np.arange(reg_max, dtype=np.float32)) * stride
+        cx = (idx % w + 0.5) * stride
+        cy = (idx // w + 0.5) * stride
+        boxes = zip((cx - dists[0]).tolist(), (cy - dists[1]).tolist(),
+                    (cx + dists[2]).tolist(), (cy + dists[3]).tolist())
+        out.extend(map(Detection, class_ids.tolist(), scores.tolist(), boxes))
+    return out
+
+
+def _iou_one_many(box, others):
+    ix1 = np.maximum(box[0], others[:, 0])
+    iy1 = np.maximum(box[1], others[:, 1])
+    ix2 = np.minimum(box[2], others[:, 2])
+    iy2 = np.minimum(box[3], others[:, 3])
+    inter = np.maximum(0.0, ix2 - ix1) * np.maximum(0.0, iy2 - iy1)
+    area = (box[2] - box[0]) * (box[3] - box[1])
+    areas = (others[:, 2] - others[:, 0]) * (others[:, 3] - others[:, 1])
+    union = area + areas - inter
+    return np.where(union > 0, inter / np.maximum(union, 1e-30), 0.0)
+
+
+def _sort_key(d):
+    return (-d.score, d.class_id, d.box[0], d.box[1], d.box[2], d.box[3])
+
+
+def nms_reference(candidates, iou_thresh):
+    """Greedy class-aware NMS over `Detection` records: sorted by the full key
+    (-score, class, x1, y1, x2, y2), one record list per class, and one IoU
+    round per kept box against the later live boxes of its class."""
+    ordered = sorted(candidates, key=_sort_key)
+    by_class = {}
+    for det in ordered:
+        by_class.setdefault(det.class_id, []).append(det)
+    kept = []
+    for dets in by_class.values():
+        boxes = np.array([d.box for d in dets], dtype=np.float64)
+        alive = np.ones(len(dets), dtype=bool)
+        for i, det in enumerate(dets):
+            if not alive[i]:
+                continue
+            kept.append(det)
+            later = np.flatnonzero(alive[i + 1 :]) + i + 1
+            if later.size:
+                ious = _iou_one_many(boxes[i], boxes[later])
+                alive[later[ious > iou_thresh]] = False
+    kept.sort(key=_sort_key)
+    return kept
 
 
 def init_random_reference(graph, seed: int):

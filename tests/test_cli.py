@@ -103,7 +103,9 @@ class TestInfer:
     def test_non_finite_head_is_data_error(self, small_ppm, tmp_path, capsys, entry, index,
                                            value, channel):
         # Unchecked, the NaN bias drops every stride-8 cell and the Inf gamma
-        # gives an empty list, both with exit 0.
+        # gives an empty list, both with exit 0. The fold at the first forward
+        # refuses them before any head is decoded, naming the leaf and the
+        # output channel that feeds head channel `channel`.
         from y11.graph import build_graph
 
         entries = build_graph("n").init_random(9).state_entries()
@@ -116,9 +118,44 @@ class TestInfer:
         code, stdout, err = run(capsys, "infer", str(small_ppm), "--size", "64", "--conf", "0.001",
                                 "--weights", str(wpath), "--out", str(out))
         assert code == 2 and stdout == ""
-        assert "head 0 (stride 8)" in err and "non-finite" in err
+        assert f"{entry.rsplit('.', 1)[0]}: weights fold to a non-finite" in err
         if channel is not None:
-            assert f"channel {channel}" in err
+            assert f"output channel {channel - 4 * 16}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry, value", [("layer23.box0.2.bias", np.nan),
+                                              ("layer0.weight", np.inf)])
+    def test_non_finite_weights_name_the_leaf(self, small_ppm, tmp_path, capsys, entry, value):
+        from y11.graph import build_graph
+
+        entries = build_graph("n").init_random(9).state_entries()
+        for name, arr in entries:
+            if name == entry:
+                arr.flat[0] = value
+        wpath = tmp_path / "bad.y11w"
+        wpath.write_bytes(write_weights(entries))
+        out = tmp_path / "dets.json"
+        code, stdout, err = run(capsys, "infer", str(small_ppm), "--size", "64",
+                                "--weights", str(wpath), "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert f"{entry.rsplit('.', 1)[0]}: weights fold to a non-finite" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_weights_reach_the_head_check(self, small_ppm, tmp_path, capsys):
+        # Finite weights pass the fold check, but a 1e30 stem gamma overflows
+        # the activations to inf and NaN by the heads.
+        from y11.graph import build_graph
+
+        entries = [(n, np.full_like(a, 1e30) if n == "layer0.gamma" else a)
+                   for n, a in build_graph("n").init_random(9).state_entries()]
+        wpath = tmp_path / "huge.y11w"
+        wpath.write_bytes(write_weights(entries))
+        out = tmp_path / "dets.json"
+        code, stdout, err = run(capsys, "infer", str(small_ppm), "--size", "64", "--conf", "0.001",
+                                "--weights", str(wpath), "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert "head 0 (stride 8)" in err and "non-finite" in err
         assert not out.exists()
 
     def test_json_format_schema(self, small_ppm, tmp_path, capsys):
@@ -265,6 +302,20 @@ class TestEval:
         dets_path, anns_path = write_eval_fixture(tmp_path, [])
         code, stdout, err = run(capsys, "eval", str(dets_path), str(anns_path), f"--sweep={sweep}")
         assert code == 1 and message in err and stdout == ""
+
+    @pytest.mark.parametrize("argv", [["--sweep=-0.1:0.5:0.1"], ["--sweep", "-0.1:0.5:0.1"]])
+    def test_negative_sweep_start_is_a_range_error_in_both_forms(self, tmp_path, capsys, argv):
+        dets_path, anns_path = write_eval_fixture(tmp_path, [])
+        code, stdout, err = run(capsys, "eval", str(dets_path), str(anns_path), *argv)
+        assert code == 1 and stdout == ""
+        assert "bad sweep '-0.1:0.5:0.1': need 0 <= start <= stop <= 1" in err
+
+    def test_separate_sweep_value_parses(self, tmp_path, capsys):
+        dets = [DumpDetection(0, 0, (10, 10, 20, 20), 0.9)]
+        dets_path, anns_path = write_eval_fixture(tmp_path, dets)
+        default = run(capsys, "eval", str(dets_path), str(anns_path))
+        separate = run(capsys, "eval", str(dets_path), str(anns_path), "--sweep", "0.5:0.95:0.05")
+        assert separate == default and default[0] == 0
 
     def test_map50_is_labelled_at_half(self, tmp_path, capsys):
         # IoU 0.4: a hit at 0.30, a miss at 0.5, so the two labels give different numbers.

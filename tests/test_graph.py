@@ -1,5 +1,6 @@
 """Model assembly, shape contracts, budget accounting, init and weight loading."""
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -402,6 +403,31 @@ class TestLoadState:
         entries.append(entries[0])
         with pytest.raises(ValueError, match="duplicate"):
             build_graph("n").load_state(entries)
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("name, value", [("layer23.box0.2.bias", np.nan),
+                                             ("layer0.weight", np.inf)])
+    def test_forward_names_the_leaf(self, name, value):
+        graph = build_graph("n").init_random(3)
+        good = [(n, a.copy()) for n, a in graph.state_entries()]
+        graph.load_state([(n, np.full_like(a, value) if n == name else a) for n, a in good])
+        x = random_tensor(np.random.default_rng(4), 1, 3, 64, 64)
+        leaf = name.rsplit(".", 1)[0]
+        with pytest.raises(ValueError, match=rf"^{re.escape(leaf)}: weights fold to a non-finite"):
+            graph.forward(x)
+        # the refused fold is not cached: a good state runs again
+        graph.load_state(good)
+        assert all(np.isfinite(t.data).all() for t in graph.forward(x))
+
+    def test_fold_check_runs_once_per_load(self, monkeypatch):
+        graph = build_graph("n").init_random(3)
+        x = random_tensor(np.random.default_rng(4), 1, 3, 64, 64)
+        graph.forward(x)
+        calls = []
+        monkeypatch.setattr(ConvBlock, "_fold", lambda self: calls.append(self))
+        graph.forward(x)
+        assert calls == []
 
 
 class TestDetectHead:

@@ -3,10 +3,17 @@ import numpy as np
 import pytest
 
 from conftest import random_tensor
-from oracle_helpers import unletterbox_reference
+from oracle_helpers import (
+    decode_head_reference,
+    letterbox_reference,
+    nms_reference,
+    unletterbox_reference,
+)
+from y11.io_formats import DumpDetection, write_detections
 from y11.metrics import iou
 from y11.postprocess import (
     PAD_VALUE,
+    Candidates,
     Detection,
     LetterboxMeta,
     decode_head,
@@ -45,6 +52,15 @@ class TestLetterbox:
         assert (meta.pad_left, meta.pad_top) == (160, 0)
         assert np.all(boxed.data[:, :, :, :160] == np.float32(PAD_VALUE))
 
+    def test_equals_2d_fancy_index_reference(self):
+        rng = np.random.default_rng(12)
+        for h, w, target in [(719, 405, 640), (48, 80, 64), (1, 3, 32), (300, 300, 320),
+                             (97, 1001, 96)]:
+            image = random_tensor(rng, 1, 3, h, w)
+            boxed, meta = letterbox(image, target)
+            want, want_meta = letterbox_reference(image, target)
+            assert boxed.data.tobytes() == want.data.tobytes() and meta == want_meta
+
     def test_box_roundtrip_within_half_pixel(self):
         meta = letterbox(Tensor(np.zeros((1, 3, 719, 405))), 640)[1]
         for x, y in [(0.0, 0.0), (404.0, 718.0), (123.4, 567.8)]:
@@ -68,7 +84,7 @@ def make_head_tensor(reg_max, nc, h, w, dist_logits=None, cls_logits=None):
 class TestDecodeHead:
     def test_all_logits_low_gives_empty(self):
         t = make_head_tensor(16, 80, 4, 4)
-        assert decode_head([t], [8], 16, 80, 0.25) == []
+        assert list(decode_head([t], [8], 16, 80, 0.25)) == []
 
     def test_one_hot_bin_three(self):
         reg_max, nc = 16, 3
@@ -78,7 +94,7 @@ class TestDecodeHead:
         cls = np.full((nc, 1, 1), -1e9, dtype=np.float32)
         cls[1] = 5.0
         t = make_head_tensor(reg_max, nc, 1, 1, dist, cls)
-        dets = decode_head([t], [8], reg_max, nc, 0.25)
+        dets = list(decode_head([t], [8], reg_max, nc, 0.25))
         assert len(dets) == 1
         det = dets[0]
         assert det.class_id == 1
@@ -90,7 +106,7 @@ class TestDecodeHead:
         dist = np.zeros((4 * reg_max, 1, 1), dtype=np.float32)
         cls = np.zeros((nc, 1, 1), dtype=np.float32)  # sigmoid = 0.5 > 0.25
         t = make_head_tensor(reg_max, nc, 1, 1, dist, cls)
-        det = decode_head([t], [8], reg_max, nc, 0.25)[0]
+        det = list(decode_head([t], [8], reg_max, nc, 0.25))[0]
         # Uniform softmax expectation is exactly (reg_max - 1) / 2 = 7.5.
         assert det.box[2] - det.box[0] == pytest.approx(2 * 7.5 * 8, abs=0)
 
@@ -174,6 +190,93 @@ class TestNMS:
             for b in kept[i + 1 :]:
                 if a.class_id == b.class_id:
                     assert iou(a.box, b.box) <= 0.45
+
+
+def tie_heavy_candidates(rng, count):
+    """Boxes on a 5-px grid with 5-px sides, so many pairs have an IoU of
+    exactly 1/3, 1/2 or another simple ratio; scores from a handful of values,
+    repeated boxes and -0.0 coordinates."""
+    out = []
+    for _ in range(count):
+        x1, y1 = (5.0 * rng.integers(0, 6, 2)).tolist()
+        w, h = (5.0 * rng.integers(0, 4, 2)).tolist()
+        box = [x1, y1, x1 + w, y1 + h]
+        if rng.random() < 0.2:
+            box = [-0.0 if v == 0.0 else v for v in box]
+        out.append(Detection(int(rng.integers(0, 3)), [0.5, 0.25, 0.75][rng.integers(0, 3)],
+                             tuple(box)))
+    if out and rng.random() < 0.5:
+        out += out[: rng.integers(1, len(out) + 1)]  # exact duplicates
+    return out
+
+
+class TestColumnarAgainstReference:
+    def test_decode_equals_per_scale_records(self):
+        rng = np.random.default_rng(10)
+        for trial in range(60):
+            reg_max, nc = int(rng.integers(2, 17)), int(rng.integers(1, 6))
+            scales = int(rng.integers(1, 4))
+            dims = [tuple(rng.integers(1, 7, 2).tolist()) for _ in range(scales)]
+            strides = [8 * 2 ** i for i in range(scales)]
+            raw = [Tensor(rng.standard_normal((1, 4 * reg_max + nc, h, w)).astype(np.float32) * 3)
+                   for h, w in dims]
+            for conf in (0.0, 0.25, 0.999):
+                got = decode_head(raw, strides, reg_max, nc, conf)
+                want = decode_head_reference(raw, strides, reg_max, nc, conf)
+                # repr tells apart numpy scalars, int from float and -0.0 from 0.0
+                assert repr(list(got)) == repr(want)
+                assert len(got) == len(want)
+                assert got.boxes.dtype == np.float64 and got.scores.dtype == np.float64
+                assert got.class_ids.dtype == np.int64 and got.boxes.shape == (len(want), 4)
+        empty = decode_head(raw, strides, reg_max, nc, 1.0)
+        assert decode_head_reference(raw, strides, reg_max, nc, 1.0) == []
+        assert len(empty) == 0 and list(empty) == [] and empty.boxes.shape == (0, 4)
+
+    @pytest.mark.parametrize("kind", ["criterion8", "tie_heavy"])
+    def test_nms_equals_per_record_reference(self, kind):
+        rng = np.random.default_rng(11)
+        for case in range(400):
+            if kind == "criterion8":
+                cands = random_candidates(rng, int(rng.integers(0, 28)), span=30.0)
+                thresh = float(rng.uniform(0.2, 0.7))
+            else:
+                cands = tie_heavy_candidates(rng, int(rng.integers(0, 30)))
+                thresh = [1 / 3, 0.5, 0.25, 0.0, 0.6][case % 5]
+            want = nms_reference(cands, thresh)
+            for given in (cands, Candidates.of(cands), iter(cands)):
+                assert repr(nms(given, thresh)) == repr(want)
+
+    @pytest.mark.parametrize("conf", [0.001, 0.25])
+    def test_dump_text_equals_reference_path(self, conf):
+        from y11.graph import build_graph
+
+        g = build_graph("n").init_random(5)
+        image = random_tensor(np.random.default_rng(6), 1, 3, 90, 130)
+        boxed, meta = letterbox(image, 64)
+        raw = g.forward(boxed)
+
+        def dump(dets):
+            return write_detections([
+                DumpDetection(0, d.class_id, (d.box[0], d.box[1], d.box[2] - d.box[0],
+                                              d.box[3] - d.box[1]), d.score)
+                for d in unletterbox(dets, meta)])
+
+        cands = decode_head(raw, g.strides, g.reg_max, g.num_classes, conf)
+        ref = decode_head_reference(raw, g.strides, g.reg_max, g.num_classes, conf)
+        assert len(ref) > 0
+        assert dump(nms(cands, 0.45)) == dump(nms_reference(ref, 0.45))
+
+    def test_candidates_columns_and_records(self):
+        cands = Candidates.of([Detection(2, 0.5, (1.0, 2.0, 3.0, 4.0)),
+                               Detection(0, 0.25, (-0.0, 0.0, 1.0, 1.0))])
+        assert Candidates.of(cands) is cands
+        assert len(cands) == 2 and cands.boxes.shape == (2, 4)
+        records = list(cands)
+        assert records == [Detection(2, 0.5, (1.0, 2.0, 3.0, 4.0)),
+                           Detection(0, 0.25, (-0.0, 0.0, 1.0, 1.0))]
+        assert all(type(d.class_id) is int and type(d.score) is float for d in records)
+        assert np.signbit(records[1].box[0])
+        assert len(Candidates.of([])) == 0 and list(Candidates.of([])) == []
 
 
 class TestRecords:

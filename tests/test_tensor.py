@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tensor
-from oracle_helpers import conv2d_direct, maxpool2d_direct
+from oracle_helpers import conv2d_direct, maxpool2d_direct, softmax_reference
 from y11.tensor import (
     BatchNormParams,
     ConvSpec,
@@ -241,6 +241,14 @@ class TestActivations:
         assert np.all(z >= -0.2785)
         assert np.all((s >= 0) & (s <= 1))
 
+    def test_sigmoid_monotone_on_every_float32_near_a_tenth(self):
+        # A float32-only sigmoid steps down by one ulp between some adjacent
+        # inputs here; every float32 in [0.09, 0.11] and its mirror is scanned.
+        lo, hi = np.array([0.09, 0.11], dtype=np.float32).view(np.int32)
+        xs = np.arange(lo, hi + 1, dtype=np.int32).view(np.float32)
+        for window in (xs, -xs[::-1]):
+            assert np.all(np.diff(sigmoid(window)) >= 0)
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-15, 15), min_size=1, max_size=16))
     def test_open_unit_interval_before_saturation(self, values):
@@ -399,3 +407,17 @@ class TestSoftmax:
         a = rng.standard_normal((5, 7)).astype(np.float32) * 10
         out = softmax_lastaxis(a)
         assert np.max(np.abs(out.sum(axis=-1) - 1.0)) < 1e-6
+
+    @pytest.mark.parametrize("length", [1, 2, 5, 16, 32, 33, 100])
+    def test_equals_reduction_form_bitwise(self, length):
+        # Short rows take their maximum column by column; the result must be
+        # the reduction form's, on the decode's transposed layout too, with
+        # repeated maxima and signed zeros.
+        rng = np.random.default_rng(length)
+        a = rng.standard_normal((60, 4 * length)).astype(np.float32) * 8
+        a[rng.random(a.shape) < 0.2] = 0.0
+        a[rng.random(a.shape) < 0.2] = -0.0
+        a[:5] = a[:5].max()
+        for view in (a.reshape(60, 4, length), a.reshape(60, 4, length).transpose(1, 0, 2)):
+            got, want = softmax_lastaxis(view), softmax_reference(view)
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
