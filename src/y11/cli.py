@@ -190,13 +190,18 @@ def _parse_sweep(text: str) -> list[float]:
 
 
 def cmd_eval(args) -> int:
-    from .io_formats import read_annotations, read_detections
+    from .io_formats import FormatError, read_annotations, read_detections
     from .metrics import evaluate
 
     with open(args.detections, "r", encoding="utf-8") as fh:
         dets = read_detections(fh.read())
     with open(args.annotations, "r", encoding="utf-8") as fh:
         anns = read_annotations(fh.read())
+    image_ids = {image.id for image in anns.images}
+    for k, d in enumerate(dets):
+        if d.image_id not in image_ids:
+            raise FormatError(f"detections: record {k} has image_id {d.image_id}, "
+                              "which is not an image in the annotations")
 
     det_tuples = [
         (d.image_id, d.category_id, d.score,
@@ -346,6 +351,8 @@ def cmd_summary(args) -> int:
 def _apply_thread_cap() -> None:
     threads = os.environ.get("Y11_THREADS")
     if threads:
+        if not (threads.isascii() and threads.isdigit() and int(threads) > 0):
+            raise UsageError(f"Y11_THREADS must be a positive integer, got {threads!r}")
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
             os.environ.setdefault(var, threads)
@@ -375,9 +382,9 @@ def _join_sweep(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
+        _apply_thread_cap()
         args = parser.parse_args(_join_sweep(sys.argv[1:] if argv is None else list(argv)))
         return _COMMANDS[args.command](args)
     except UsageError as exc:

@@ -99,9 +99,7 @@ def scale_channels(c: int, variant: VariantSpec) -> int:
 
 
 def scale_units(n: int, variant: VariantSpec) -> int:
-    """Depth scaling: ceil-round, never below 1 for a positive base count."""
-    if n <= 0:
-        return 0
+    """Depth scaling: ceil-round, never below 1."""
     return max(1, math.ceil(n * variant.depth_multiple))
 
 

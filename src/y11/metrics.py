@@ -52,8 +52,7 @@ def iou(a: Sequence[float], b: Sequence[float]) -> float:
 class ClassMatches:
     """Matching outcome for one class at one IoU threshold."""
 
-    scores: np.ndarray  # descending
-    is_tp: np.ndarray  # parallel bool flags
+    is_tp: np.ndarray  # bool flags in descending score order
     num_gt: int
 
     @property
@@ -101,7 +100,6 @@ def _match_sweep(
     dets = list(dets)
     scores = np.array([d[2] for d in dets], dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
-    ranked_scores = scores[order]
 
     # Rank positions per class, and (rank, best IoU, [(gt index, IoU > 0)])
     # for each detection that overlaps a ground truth of its key.
@@ -121,7 +119,7 @@ def _match_sweep(
     classes = []
     for cid in sorted(set(num_gt) | set(ranks_by_class)):
         rows = np.array(ranks_by_class.get(cid, ()), dtype=np.intp)
-        classes.append((cid, rows, ranked_scores[rows], num_gt.get(cid, 0)))
+        classes.append((cid, rows, num_gt.get(cid, 0)))
     n_gt = sum(num_gt.values())
 
     results = []
@@ -138,8 +136,7 @@ def _match_sweep(
             if best_g >= 0 and best_iou >= t:
                 taken[best_g] = True
                 is_tp[rank] = True
-        results.append({cid: ClassMatches(class_scores, is_tp[rows], class_gt)
-                        for cid, rows, class_scores, class_gt in classes})
+        results.append({cid: ClassMatches(is_tp[rows], n) for cid, rows, n in classes})
     return results
 
 

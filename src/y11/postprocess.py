@@ -2,8 +2,8 @@
 distribution-based head decoding, class-aware greedy NMS, and mapping boxes
 back to original-image pixels.
 
-Candidates travel as columns: `decode_head` returns `Candidates` (boxes,
-scores and class ids as arrays) and `nms` works on those arrays, so
+Candidates travel as columns: `decode_head` decodes head by head into one
+`Candidates` (boxes, scores, class ids) and `nms` works on those arrays, so
 `Detection` records are built only for the boxes NMS keeps. `nms` also takes
 any iterable of records, and iterating `Candidates` yields records.
 """
@@ -116,55 +116,45 @@ def decode_head(
     Per cell: class scores are per-class sigmoids; a cell survives when its
     best score exceeds conf_thresh. Each box side is the softmax-expected bin
     index of its distance distribution times the stride, measured outward from
-    the cell center (the distribution focal loss decode). The kept cells of
-    all heads are decoded together and come out in head order, then cell
+    the cell center (the distribution focal loss decode). Each head is
+    decoded on its own; the candidates come out in head order, then cell
     order. A non-finite head value, which only bad weights or input can
     produce, raises ValueError naming the head and channel.
     """
     if len(raw) != len(strides):
         raise ValueError(f"got {len(raw)} head tensors for {len(strides)} strides")
     expect_c = 4 * reg_max + num_classes
-    for tensor in raw:
+    bins = np.arange(reg_max, dtype=np.float32)
+    columns = []  # (boxes, scores, class ids) per head
+    for i, (tensor, stride) in enumerate(zip(raw, strides)):
         if tensor.c != expect_c:
             raise ValueError(
                 f"head tensor has {tensor.c} channels, expected 4*{reg_max}+{num_classes}={expect_c}"
             )
         if tensor.n != 1:
             raise ValueError("decode_head handles batch size 1")
-    heads = [t.data.reshape(expect_c, t.h * t.w) for t in raw]
-    for i, (head, stride) in enumerate(zip(heads, strides)):
+        head = tensor.data.reshape(expect_c, tensor.h * tensor.w)
         if not np.isfinite(head).all():
             channel = np.flatnonzero(~np.isfinite(head).all(axis=1))[0]
             raise ValueError(
                 f"head {i} (stride {stride}) has a non-finite value in channel {channel}"
             )
-    # sigmoid is monotone, so the best logit gives the best score
-    best = sigmoid(np.concatenate([head[4 * reg_max :].max(axis=0) for head in heads]))
-    idx = np.flatnonzero(best > conf_thresh)  # over all heads' cells, in order
-    starts = np.cumsum([0] + [head.shape[1] for head in heads])
-    which = np.searchsorted(starts, idx, side="right") - 1  # head of each kept cell
-    cell = idx - starts[which]
-    # kept cells per head, as cut points into the kept-cell axis
-    cuts = np.searchsorted(which, np.arange(1, len(heads)))
-    # one row of head values per kept cell; a distribution's reg_max bins
-    # stay adjacent, so softmax and the expectation run along contiguous rows
-    rows = np.concatenate([head.T[part] for head, part in zip(heads, np.split(cell, cuts))])
-    class_ids = rows[:, 4 * reg_max :].argmax(axis=1)
-
-    width = np.array([t.w for t in raw])[which]
-    stride = np.array(strides)[which]
-    dist_logits = rows[:, : 4 * reg_max].reshape(idx.size, 4, reg_max)
-    probs = softmax_lastaxis(dist_logits.transpose(1, 0, 2))
-    # The expectation is one matrix-vector product per head: BLAS rounds the
-    # last few rows of a product its own way, so one product over all heads
-    # would move some boxes by an ulp.
-    bins = np.arange(reg_max, dtype=np.float32)
-    expect = np.concatenate([p @ bins for p in np.split(probs, cuts, axis=1)], axis=1)
-    dists = expect * stride.astype(np.float32)  # (4, M): left, top, right, bottom
-    cx = (cell % width + 0.5) * stride
-    cy = (cell // width + 0.5) * stride
-    boxes = np.stack([cx - dists[0], cy - dists[1], cx + dists[2], cy + dists[3]], axis=1)
-    return Candidates(boxes, best[idx].astype(np.float64), class_ids)
+        # sigmoid is monotone, so the best logit gives the best score
+        best = sigmoid(head[4 * reg_max :].max(axis=0))
+        cell = np.flatnonzero(best > conf_thresh)
+        # one row of head values per kept cell; a distribution's reg_max bins
+        # stay adjacent, so softmax and the expectation run along contiguous rows
+        rows = head.T[cell]
+        dist_logits = rows[:, : 4 * reg_max].reshape(cell.size, 4, reg_max)
+        probs = softmax_lastaxis(dist_logits.transpose(1, 0, 2))
+        # one product per head: BLAS rounding depends on the row count, a joint one moves boxes
+        dists = (probs @ bins) * np.float32(stride)  # (4, M): left, top, right, bottom
+        cx = (cell % tensor.w + 0.5) * stride
+        cy = (cell // tensor.w + 0.5) * stride
+        boxes = np.stack([cx - dists[0], cy - dists[1], cx + dists[2], cy + dists[3]], axis=1)
+        class_ids = rows[:, 4 * reg_max :].argmax(axis=1)
+        columns.append((boxes, best[cell].astype(np.float64), class_ids))
+    return Candidates(*(np.concatenate(column) for column in zip(*columns)))
 
 
 def _iou_one_many(cols: np.ndarray, i: int, rest: np.ndarray) -> np.ndarray:

@@ -392,7 +392,7 @@ def match_detections_reference(dets, gts, iou_thresh: float):
     order = sorted(enumerate(dets), key=lambda kv: (-kv[1][2], kv[0]))
 
     flags = {}
-    for _, (image_id, class_id, score, box) in order:
+    for _, (image_id, class_id, _score, box) in order:
         key = (image_id, class_id)
         candidates = gt_by_key.get(key, [])
         best_iou, best_j = 0.0, -1
@@ -406,14 +406,12 @@ def match_detections_reference(dets, gts, iou_thresh: float):
         is_tp = best_j >= 0 and best_iou >= iou_thresh
         if is_tp:
             taken[best_j] = True
-        flags.setdefault(class_id, []).append((score, is_tp))
+        flags.setdefault(class_id, []).append(is_tp)
 
     by_class = {}
     for cid in sorted(set(num_gt) | set(flags)):
-        entries = flags.get(cid, [])
         by_class[cid] = ClassMatches(
-            scores=np.array([s for s, _ in entries], dtype=np.float64),
-            is_tp=np.array([t for _, t in entries], dtype=bool),
+            is_tp=np.array(flags.get(cid, []), dtype=bool),
             num_gt=num_gt.get(cid, 0),
         )
     return by_class

@@ -370,6 +370,13 @@ class TestEval:
         code, stdout, err = run(capsys, "eval", str(dets_path), str(anns_path))
         assert code == 2 and "non-finite" in err and stdout == ""
 
+    def test_detection_on_an_unlisted_image_is_data_error(self, tmp_path, capsys):
+        dets = [DumpDetection(0, 0, (10, 10, 20, 20), 0.9), DumpDetection(99, 0, (1, 1, 5, 5), 0.5)]
+        dets_path, anns_path = write_eval_fixture(tmp_path, dets)
+        code, stdout, err = run(capsys, "eval", str(dets_path), str(anns_path))
+        assert code == 2 and stdout == ""
+        assert "record 1 has image_id 99" in err
+
 
 class TestBench:
     def test_report_schema_and_counts(self, capsys):
@@ -467,4 +474,15 @@ class TestExitCodes:
         assert run(capsys, "summary", "--variant", "z")[0] == 1
 
     def test_success_is_zero(self, capsys):
+        assert run(capsys, "summary", "--variant", "n", "--size", "64")[0] == 0
+
+    @pytest.mark.parametrize("threads", ["abc", "-3", "0", "2.5", " 2", "٣"])
+    def test_bad_thread_cap_is_usage_error(self, monkeypatch, capsys, threads):
+        monkeypatch.setenv("Y11_THREADS", threads)
+        code, stdout, err = run(capsys, "summary", "--variant", "n", "--size", "64")
+        assert code == 1 and stdout == ""
+        assert "Y11_THREADS must be a positive integer" in err
+
+    def test_empty_thread_cap_is_no_cap(self, monkeypatch, capsys):
+        monkeypatch.setenv("Y11_THREADS", "")
         assert run(capsys, "summary", "--variant", "n", "--size", "64")[0] == 0

@@ -164,7 +164,7 @@ class TestAveragePrecision:
         assert average_precision(matches) == 0.0
 
     def test_zero_gt_sentinel(self):
-        assert average_precision(ClassMatches(np.array([]), np.array([], dtype=bool), 0)) is None
+        assert average_precision(ClassMatches(np.array([], dtype=bool), 0)) is None
 
     def test_score_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)
@@ -267,9 +267,8 @@ def _assert_ledgers_bitwise_equal(got, want):
     for cid, w in want.items():
         g = got[cid]
         assert g.num_gt == w.num_gt
-        for a, b in ((g.scores, w.scores), (g.is_tp, w.is_tp)):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+        assert g.is_tp.dtype == w.is_tp.dtype and g.is_tp.shape == w.is_tp.shape
+        assert g.is_tp.tobytes() == w.is_tp.tobytes()
 
 
 class TestSweepAgainstReference:
