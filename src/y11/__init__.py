@@ -5,16 +5,7 @@ assembly and accounting), postprocess (letterbox/decode/NMS), metrics
 (IoU/PR/AP/mAP), io_formats (PPM, weights container, annotation and detection
 files), cli (infer/eval/bench/summary commands).
 
-The package root imports lazily so the CLI can cap BLAS thread pools via the
+The package root imports nothing, so the CLI can cap BLAS thread pools via the
 Y11_THREADS environment variable before numpy is loaded.
 """
-__all__ = ["Tensor"]
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    if name == "Tensor":
-        from .tensor import Tensor
-
-        return Tensor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -60,6 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--size", type=_size, default=640, help="square input size, multiple of 32")
 
     p = sub.add_parser("infer", help="run detection on one PPM image")
+    p.set_defaults(run=cmd_infer)
     common_model(p)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("image", help="binary PPM (P6) input image")
@@ -72,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("eval", help="score a detections file against annotations")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("detections", help="detections JSON (as written by infer)")
     p.add_argument("annotations", help="annotation JSON (COCO-subset schema)")
     p.add_argument("--conf", type=_fraction, default=0.25, help="operating confidence for P/R/F1")
@@ -79,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("bench", help="three-phase latency benchmark on synthetic input")
+    p.set_defaults(run=cmd_bench)
     common_model(p)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--runs", type=_positive_int, default=10)
@@ -88,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("summary", help="per-layer table, parameter and FLOP totals")
+    p.set_defaults(run=cmd_summary)
     common_model(p)
     p.add_argument("--nc", type=_positive_int, default=80, help="number of classes")
     p.add_argument("--csv", help="also write the variant series (params/FLOPs) as CSV")
@@ -344,7 +348,8 @@ def cmd_summary(args) -> int:
             lines.append(f"{name},{g.count_params()},{g.count_flops(args.size):.4f}")
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        print(f"wrote: {args.csv}")
+        if args.format == "text":
+            print(f"wrote: {args.csv}")
     return 0
 
 
@@ -355,15 +360,7 @@ def _apply_thread_cap() -> None:
             raise UsageError(f"Y11_THREADS must be a positive integer, got {threads!r}")
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
-
-_COMMANDS = {
-    "infer": cmd_infer,
-    "eval": cmd_eval,
-    "bench": cmd_bench,
-    "summary": cmd_summary,
-}
+            os.environ[var] = threads
 
 
 def _join_sweep(argv: list[str]) -> list[str]:
@@ -386,7 +383,7 @@ def main(argv=None) -> int:
     try:
         _apply_thread_cap()
         args = parser.parse_args(_join_sweep(sys.argv[1:] if argv is None else list(argv)))
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

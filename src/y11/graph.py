@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .blocks import C2PSA, C3K2, SPPF, ConvBlock, NonFiniteFold, iter_leaf_blocks
+from .blocks import C2PSA, C3K2, SPPF, ConvBlock, NonFiniteFold, _Composite, iter_leaf_blocks
 from .tensor import ConvSpec, Tensor, concat_channels, upsample_nearest2x
 
 __all__ = [
@@ -109,9 +109,25 @@ def _output_conv(c_in: int, c_out: int) -> ConvBlock:
     return ConvBlock(spec, None, act="none")
 
 
-class DetectHead:
-    """Anchor-free head over three scales. Each scale emits
-    4*reg_max distance-distribution logits followed by num_classes logits."""
+class _Branch(_Composite):
+    """One scale's box or class branch: leaves run in order, named 0, 1, ..."""
+
+    def __init__(self, *leaves: ConvBlock) -> None:
+        self.leaves = leaves
+
+    def children(self) -> list[tuple[str, object]]:
+        return [(str(j), leaf) for j, leaf in enumerate(self.leaves)]
+
+    def forward(self, x: Tensor) -> Tensor:
+        for leaf in self.leaves:
+            x = leaf(x)
+        return x
+
+
+class DetectHead(_Composite):
+    """Anchor-free decoupled head over three scales. Per scale, a box branch
+    (4*reg_max distance-distribution logits) and a class branch (num_classes
+    logits) run side by side; one tensor per scale in, their concat out."""
 
     def __init__(self, chs: Sequence[int], num_classes: int, reg_max: int) -> None:
         if len(chs) != 3:
@@ -120,57 +136,37 @@ class DetectHead:
         self.reg_max = reg_max
         box_c = max(16, chs[0] // 4, 4 * reg_max)
         cls_c = max(chs[0], min(num_classes, 100))
-        self.box_branches = []
-        self.cls_branches = []
-        for c in chs:
-            self.box_branches.append(
-                [
+        self.branches = [
+            (
+                _Branch(
                     ConvBlock.create(c, box_c, k=3),
                     ConvBlock.create(box_c, box_c, k=3),
                     _output_conv(box_c, 4 * reg_max),
-                ]
-            )
-            self.cls_branches.append(
-                [
+                ),
+                _Branch(
                     ConvBlock.create(c, c, k=3, groups=c),
                     ConvBlock.create(c, cls_c, k=1),
                     ConvBlock.create(cls_c, cls_c, k=3, groups=cls_c),
                     ConvBlock.create(cls_c, cls_c, k=1),
                     _output_conv(cls_c, num_classes),
-                ]
+                ),
             )
+            for c in chs
+        ]
 
     @property
     def out_channels(self) -> int:
         return 4 * self.reg_max + self.num_classes
 
     def children(self) -> list[tuple[str, object]]:
-        out: list[tuple[str, object]] = []
-        for i in range(3):
-            out += [(f"box{i}.{j}", b) for j, b in enumerate(self.box_branches[i])]
-            out += [(f"cls{i}.{j}", b) for j, b in enumerate(self.cls_branches[i])]
-        return out
+        return [(f"{kind}{i}", b) for i, pair in enumerate(self.branches)
+                for kind, b in zip(("box", "cls"), pair)]
 
     def forward(self, xs: Sequence[Tensor]) -> tuple[Tensor, Tensor, Tensor]:
-        outs = []
-        for i, x in enumerate(xs):
-            box = x
-            for b in self.box_branches[i]:
-                box = b(box)
-            cls = x
-            for b in self.cls_branches[i]:
-                cls = b(cls)
-            outs.append(concat_channels([box, cls]))
-        return tuple(outs)  # type: ignore[return-value]
-
-    __call__ = forward
+        return tuple(concat_channels([box(x), cls(x)]) for (box, cls), x in zip(self.branches, xs))
 
     def flops(self, shapes: Sequence[tuple[int, int]]) -> float:
-        f = 0.0
-        for i, (h, w) in enumerate(shapes):
-            for b in self.box_branches[i] + self.cls_branches[i]:
-                f += b.flops(h, w)
-        return f
+        return sum(b.flops(h, w) for pair, (h, w) in zip(self.branches, shapes) for b in pair)
 
 
 def _learnable_params(block: object) -> int:

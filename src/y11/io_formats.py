@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -62,6 +63,10 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 # PPM images
 
+# A header token ends at ASCII whitespace; `#` between tokens starts a comment
+# that runs to CR or LF.
+_PPM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+
 
 def read_ppm(data: bytes) -> Tensor:
     """Parse a binary P6 PPM into a 1x3xHxW tensor with values in [0, 1]."""
@@ -69,21 +74,11 @@ def read_ppm(data: bytes) -> Tensor:
 
     def token() -> bytes:
         nonlocal pos
-        while pos < len(data):
-            ch = data[pos : pos + 1]
-            if ch == b"#":
-                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError(f"ppm: truncated header at byte {start}")
-        return data[start:pos]
+        m = _PPM_TOKEN.match(data, pos)
+        pos = m.end()
+        if not m[1]:
+            raise FormatError(f"ppm: truncated header at byte {pos}")
+        return m[1]
 
     magic = token()
     if magic != b"P6":

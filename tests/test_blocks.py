@@ -350,7 +350,8 @@ class TestCompositeWidth:
             c_in = next(iter_leaf_blocks(block))[1].spec.in_channels
             assert block(random_tensor(rng, 1, c_in, 8, 8)).c == block.out_channels
             kinds.add(type(block).__name__)
-        assert {"Bottleneck", "C3K", "C3K2", "SPPF", "AttentionLayer", "PSABlock", "C2PSA"} <= kinds
+        assert {"Bottleneck", "C3K", "C3K2", "SPPF", "AttentionLayer", "PSABlock", "C2PSA",
+                "_Branch"} <= kinds
 
 
 class TestDeterminism:

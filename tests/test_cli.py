@@ -1,5 +1,6 @@
 """Command-line behavior: determinism, schemas, exit codes."""
 import json
+import os
 
 import numpy as np
 import pytest
@@ -455,6 +456,15 @@ class TestSummary:
         params = [int(line.split(",")[1]) for line in lines[1:]]
         assert params == sorted(params)
 
+    def test_json_with_csv_keeps_stdout_json_only(self, tmp_path, capsys):
+        csv_path = tmp_path / "series.csv"
+        code, stdout, _ = run(capsys, "summary", "--variant", "n", "--size", "64",
+                              "--format", "json", "--csv", str(csv_path))
+        assert code == 0 and csv_path.is_file()
+        lines = stdout.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["schema"] == "y11.summary/1"
+
     def test_text_table(self, capsys):
         code, stdout, _ = run(capsys, "summary", "--variant", "n", "--size", "320")
         assert code == 0
@@ -482,6 +492,17 @@ class TestExitCodes:
         code, stdout, err = run(capsys, "summary", "--variant", "n", "--size", "64")
         assert code == 1 and stdout == ""
         assert "Y11_THREADS must be a positive integer" in err
+
+    def test_thread_cap_overrides_every_pool_variable(self, monkeypatch):
+        from y11.cli import _apply_thread_cap
+
+        pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+        for var in pools:  # monkeypatch restores all five after the test
+            monkeypatch.setenv(var, "2")
+        monkeypatch.setenv("Y11_THREADS", "1")
+        _apply_thread_cap()
+        assert {var: os.environ[var] for var in pools} == dict.fromkeys(pools, "1")
 
     def test_empty_thread_cap_is_no_cap(self, monkeypatch, capsys):
         monkeypatch.setenv("Y11_THREADS", "")

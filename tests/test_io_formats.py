@@ -39,6 +39,25 @@ class TestPPM:
         data = b"P6\n# a comment\n1 1\n255\n\x00\x00\x00"
         assert read_ppm(data).shape == (1, 3, 1, 1)
 
+    def test_any_ascii_whitespace_separates_and_cr_ends_a_comment(self):
+        assert read_ppm(b"P6\v2 #c\r1\f255\t" + bytes(6)).shape == (1, 3, 1, 2)
+
+    def test_hash_inside_a_token_is_not_a_comment(self):
+        with pytest.raises(FormatError, match="bad header near byte 6: .*b'2#c'"):
+            read_ppm(b"P6\n2#c 1\n255\n" + bytes(6))
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"", "truncated header at byte 0"),
+            (b"P6 # only a comment", "bad header near byte 19: ppm: truncated header at byte 19"),
+            (b"P6\n1 1\n", "bad header near byte 7: ppm: truncated header at byte 7"),
+        ],
+    )
+    def test_truncated_header_names_its_byte(self, data, message):
+        with pytest.raises(FormatError, match=f"^ppm: {message}$"):
+            read_ppm(data)
+
     def test_bad_magic(self):
         with pytest.raises(FormatError, match="magic"):
             read_ppm(b"P5\n1 1\n255\n\x00")
