@@ -28,7 +28,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,13 +80,17 @@ def read_ppm(data: bytes) -> Tensor:
             raise FormatError(f"ppm: truncated header at byte {pos}")
         return m[1]
 
+    def number() -> int:
+        text = token()  # outside the try: a truncated header raises its own message
+        try:
+            return int(text)
+        except ValueError as exc:
+            raise FormatError(f"ppm: bad header near byte {pos}: {exc}") from None
+
     magic = token()
     if magic != b"P6":
         raise FormatError(f"ppm: unsupported magic {magic!r} (binary P6 required)")
-    try:
-        width, height, maxval = int(token()), int(token()), int(token())
-    except ValueError as exc:
-        raise FormatError(f"ppm: bad header near byte {pos}: {exc}") from None
+    width, height, maxval = number(), number(), number()
     if width < 1 or height < 1:
         raise FormatError(f"ppm: non-positive dimensions {width}x{height}")
     if maxval != 255:
@@ -327,8 +331,10 @@ def read_annotations(text: str) -> AnnotationSet:
     return AnnotationSet(images, annotations, categories)
 
 
-@dataclass(frozen=True)
-class DumpDetection:
+class DumpDetection(NamedTuple):
+    """One dumped detection. A NamedTuple, so it is cheap to build and
+    compares equal to a plain tuple of the same values."""
+
     image_id: int
     category_id: int
     bbox: tuple[float, float, float, float]  # x, y, w, h
@@ -354,10 +360,51 @@ def write_detections(dets: Sequence[DumpDetection]) -> str:
 
 def read_detections(text: str) -> list[DumpDetection]:
     """Parse a detection dump. Every bbox value must be finite and w, h >= 0;
-    zero is allowed, since unletterboxing can clip a box to zero width."""
+    zero is allowed, since unletterboxing can clip a box to zero width.
+
+    Valid input is checked by column: each field's value types at once, then
+    finiteness, box dims and score range as one numpy mask each. On any
+    failure the dump is read again record by record, which names the first
+    bad record with the same messages."""
     doc = _load_json(text, "detections")
     if not isinstance(doc, list):
         raise FormatError("detections: top-level value must be a list")
+    records = _read_detection_columns(doc)
+    return records if records is not None else _read_detection_records(doc)
+
+
+def _read_detection_columns(doc: list) -> list[DumpDetection] | None:
+    """The records of `doc`, each check done on a whole column; None if any
+    check fails, without saying which."""
+    try:
+        image_ids = [item["image_id"] for item in doc]
+        category_ids = [item["category_id"] for item in doc]
+        bboxes = [item["bbox"] for item in doc]
+        scores = [item["score"] for item in doc]
+    except (KeyError, TypeError):  # a record that is not an object, or lacks a field
+        return None
+    # Types compare exactly, as in `_typed`, so a bool is neither an id nor a number.
+    if not (set(map(type, image_ids)) | set(map(type, category_ids)) <= {int}
+            and set(map(type, bboxes)) <= {list} and set(map(len, bboxes)) <= {4}):
+        return None
+    values = [v for bbox in bboxes for v in bbox]
+    if not set(map(type, values)) | set(map(type, scores)) <= {int, float}:
+        return None
+    try:
+        values, scores = list(map(float, values)), list(map(float, scores))
+    except OverflowError:  # an int too large for a float
+        return None
+    boxes, s = np.array(values).reshape(-1, 4), np.array(scores)
+    if not (np.isfinite(boxes).all() and (boxes[:, 2:] >= 0).all()
+            and ((s >= 0) & (s <= 1)).all()):
+        return None
+    it = iter(values)
+    return list(map(DumpDetection._make,
+                    zip(image_ids, category_ids, zip(it, it, it, it), scores)))
+
+
+def _read_detection_records(doc: list) -> list[DumpDetection]:
+    """`read_detections` one record at a time; raises naming the first bad one."""
     out = []
     for k, item in enumerate(doc):
         try:

@@ -37,8 +37,10 @@ def iou(a: Sequence[float], b: Sequence[float]) -> float:
     bx1, by1, bx2, by2 = b
     if ax1 > ax2 or ay1 > ay2 or bx1 > bx2 or by1 > by2:
         raise ValueError(f"invalid box: expected x1<=x2 and y1<=y2, got {a} / {b}")
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
+    # min and max written out, saving four builtin calls per pair; `b if b < a
+    # else a` is what min(a, b) returns, NaN and signed zeros included.
+    iw = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+    ih = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
     if iw <= 0 or ih <= 0:
         return 0.0
     inter = iw * ih
@@ -108,13 +110,18 @@ def _match_sweep(
     for rank, i in enumerate(order.tolist()):
         image_id, class_id, _, box = dets[i]
         ranks_by_class.setdefault(class_id, []).append(rank)
-        pairs = []
-        for g, gt_box in gt_by_key.get((image_id, class_id), ()):
+        same_key = gt_by_key.get((image_id, class_id))
+        if same_key is None:
+            continue
+        pairs, best = [], 0.0
+        for g, gt_box in same_key:
             v = iou(box, gt_box)
             if v > 0.0:
                 pairs.append((g, v))
+                if v > best:
+                    best = v
         if pairs:
-            overlapping.append((rank, max(v for _, v in pairs), pairs))
+            overlapping.append((rank, best, pairs))
 
     classes = []
     for cid in sorted(set(num_gt) | set(ranks_by_class)):

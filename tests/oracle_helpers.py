@@ -19,9 +19,15 @@ and the per-record greedy NMS that the columnar `postprocess.decode_head` and
 `softmax_lastaxis`. `softmax_reference` is `softmax_lastaxis` with the row
 maximum taken by numpy's reduction for every row length, and
 `letterbox_reference` is `postprocess.letterbox` with its resize as one 2-D
-fancy index.
+fancy index. `read_detections_reference` is the per-record reader that the
+column checks of `io_formats.read_detections` replaced, building the package's
+`DumpDetection` and `FormatError`, and `iou_reference` is `metrics.iou` with
+the builtin `min` and `max`.
 """
 from __future__ import annotations
+
+import json
+import math
 
 import numpy as np
 
@@ -440,3 +446,60 @@ def evaluate_reference(dets, gts, thresholds, operating_conf: float = 0.25):
     p, r, f1 = precision_recall_f1(tp, fp, fn)
     return EvalReport(thresholds, sorted(ap), ap, map_by_thresh, map_by_thresh[0.5], map5095,
                       operating_conf, p, r, f1)
+
+
+def iou_reference(a, b) -> float:
+    """`metrics.iou` written with the builtin two-argument `min` and `max`."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    if ax1 > ax2 or ay1 > ay2 or bx1 > bx2 or by1 > by2:
+        raise ValueError(f"invalid box: expected x1<=x2 and y1<=y2, got {a} / {b}")
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    if union <= 0:
+        return 0.0
+    return inter / union
+
+
+def _typed(value, types):
+    if type(value) not in types:
+        raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
+def read_detections_reference(text: str):
+    """The detection-dump reader one record at a time: each record is typed,
+    converted and checked before the next, and the first bad one is named."""
+    from y11.io_formats import DumpDetection, FormatError
+
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"detections: invalid JSON: {exc}") from None
+    if not isinstance(doc, list):
+        raise FormatError("detections: top-level value must be a list")
+    out = []
+    for k, item in enumerate(doc):
+        try:
+            det = DumpDetection(
+                _typed(item["image_id"], (int,)),
+                _typed(item["category_id"], (int,)),
+                tuple(float(_typed(v, (int, float))) for v in item["bbox"]),
+                float(_typed(item["score"], (int, float))),
+            )
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise FormatError(f"detections: bad record {item!r}: {exc}") from None
+        if len(det.bbox) != 4:
+            raise FormatError(f"detections: bbox must have 4 numbers, got {item!r}")
+        if not all(map(math.isfinite, det.bbox)):
+            raise FormatError(f"detections: record {k} has a non-finite bbox value: {item!r}")
+        if det.bbox[2] < 0 or det.bbox[3] < 0:
+            raise FormatError(f"detections: record {k} has negative box dims: {item!r}")
+        if not 0.0 <= det.score <= 1.0:
+            raise FormatError(f"detections: record {k} has a score outside [0, 1]: {item!r}")
+        out.append(det)
+    return out

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from y11 import io_formats
 from y11.io_formats import (
     FormatError,
     DumpDetection,
@@ -50,8 +51,8 @@ class TestPPM:
         "data, message",
         [
             (b"", "truncated header at byte 0"),
-            (b"P6 # only a comment", "bad header near byte 19: ppm: truncated header at byte 19"),
-            (b"P6\n1 1\n", "bad header near byte 7: ppm: truncated header at byte 7"),
+            (b"P6 # only a comment", "truncated header at byte 19"),
+            (b"P6\n1 1\n", "truncated header at byte 7"),
         ],
     )
     def test_truncated_header_names_its_byte(self, data, message):
@@ -305,6 +306,26 @@ class TestDetectionDump:
         ]
         out = read_detections(write_detections(dets))
         assert out == dets
+
+    def test_valid_dump_takes_the_column_path(self, monkeypatch):
+        # The record-by-record reader is only for naming a bad record; a valid
+        # dump read through it would lose the column path's speed.
+        def per_record(doc):
+            raise AssertionError("a valid dump was read record by record")
+
+        monkeypatch.setattr(io_formats, "_read_detection_records", per_record)
+        rng = np.random.default_rng(15)
+        n = 300
+        xy = rng.integers(-40, 2560, size=(n, 2)) / 4
+        wh = rng.integers(0, 1280, size=(n, 2)) / 4
+        scores = rng.integers(0, 1001, size=n) / 1000
+        wh[:2], scores[:2] = 0.0, (0.0, 1.0)  # every bound, each met exactly
+        dets = [DumpDetection(int(i), int(c), (*map(float, p), *map(float, q)), float(s))
+                for i, c, p, q, s in zip(rng.integers(0, 50, n), rng.integers(0, 80, n),
+                                         xy, wh, scores)]
+        out = read_detections(write_detections(dets))
+        assert out == dets
+        assert all(type(d) is DumpDetection for d in out)
 
     def test_byte_deterministic(self):
         dets = [DumpDetection(0, 1, (1.0, 2.0, 3.0, 4.0), 0.5)]

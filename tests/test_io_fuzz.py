@@ -4,7 +4,8 @@ numpy's ValueError, ...) fails the test.
 
 Inputs are byte or character splices of a valid file, valid JSON documents
 with values replaced by arbitrary JSON, and weights containers assembled from
-arbitrary header fields.
+arbitrary header fields. The detection reader must also return the same
+records, or raise with the same message, as the per-record reference.
 """
 import json
 import struct
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_helpers import read_detections_reference
 from y11.io_formats import (
     FormatError,
     read_annotations,
@@ -97,6 +99,35 @@ ANNOTATIONS = {
 }
 DETECTIONS = [{"image_id": 1, "category_id": 2, "bbox": [4, 5, 0, 12], "score": 0.9}]
 
+
+@st.composite
+def detection_dumps(draw):
+    """JSON text of one to five valid detection records, with up to three
+    fields (a whole field or one bbox value) of any records replaced by an
+    awkward scalar or an arbitrary JSON value, so a bad record can sit
+    anywhere in the dump."""
+    doc = [{"image_id": k, "category_id": 2, "bbox": [4, 5.5, 0, 12], "score": 0.9}
+           for k in range(draw(st.integers(1, 5)))]
+    for _ in range(draw(st.integers(0, 3))):
+        record = doc[draw(st.integers(0, len(doc) - 1))]
+        key = draw(st.sampled_from(["image_id", "category_id", "bbox", "score"]))
+        value = draw(AWKWARD | JSON_VALUES)
+        bbox = record["bbox"]
+        if key == "bbox" and type(bbox) is list and bbox and draw(st.booleans()):
+            bbox[draw(st.integers(0, len(bbox) - 1))] = value
+        else:
+            record[key] = value
+    return json.dumps(doc)
+
+
+def read_outcome(reader, text):
+    """The records `reader` returns, or the message of its FormatError."""
+    try:
+        return reader(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
 # Every id field, as (reader, document, path to the field).
 ID_FIELDS = [(read_annotations, ANNOTATIONS, (section, 0, key)) for section, key in [
     ("images", "id"), ("annotations", "id"), ("annotations", "image_id"),
@@ -148,6 +179,18 @@ class TestFuzzReaders:
            | spliced(json.dumps(DETECTIONS), st.text(max_size=6)))
     def test_read_detections(self, text):
         accepts_or_format_error(read_detections, text)
+
+    @FUZZ
+    @given(detection_dumps())
+    def test_read_detections_matches_the_per_record_reader(self, text):
+        got = read_outcome(read_detections, text)
+        want = read_outcome(read_detections_reference, text)
+        assert got == want
+        assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+        if isinstance(got, list):
+            for d in got:
+                assert type(d.image_id) is int and type(d.category_id) is int
+                assert all(type(v) is float for v in (*d.bbox, d.score))
 
     @FUZZ
     @given(st.sampled_from(ID_FIELDS), NON_INTEGERS)

@@ -1,10 +1,17 @@
 """Evaluation metrics against hand values and the brute-force oracle."""
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_helpers import brute_force_map, evaluate_reference, match_detections_reference
+from oracle_helpers import (
+    brute_force_map,
+    evaluate_reference,
+    iou_reference,
+    match_detections_reference,
+)
 from y11 import metrics
 from y11.metrics import (
     ClassMatches,
@@ -25,6 +32,20 @@ def det(img, cls, score, box):
 
 def gt(img, cls, box):
     return (img, cls, box)
+
+
+# Coordinates where `b if b < a else a` could part from `min(a, b)`: NaN,
+# infinities, signed zeros, and ints beside floats.
+AWKWARD_COORDS = (st.floats() | st.integers(-50, 50)
+                  | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf")]))
+
+
+@st.composite
+def awkward_boxes(draw):
+    x1, y1, x2, y2 = (draw(AWKWARD_COORDS) for _ in range(4))
+    if draw(st.booleans()):  # order each axis, so that most boxes pass the check
+        (x1, x2), (y1, y2) = sorted((x1, x2)), sorted((y1, y2))
+    return x1, y1, x2, y2
 
 
 class TestIoU:
@@ -65,6 +86,18 @@ class TestIoU:
         a2 = (a[0] + dx, a[1] + dy, a[2] + dx, a[3] + dy)
         b2 = (b[0] + dx, b[1] + dy, b[2] + dx, b[3] + dy)
         assert iou(a2, b2) == pytest.approx(v, abs=1e-9)
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=awkward_boxes(), b=awkward_boxes())
+    def test_matches_the_builtin_min_max_reference_bit_for_bit(self, a, b):
+        def outcome(f):
+            try:
+                v = f(a, b)
+            except ValueError as exc:
+                return "ValueError", str(exc)
+            return type(v), struct.pack("<d", v)
+
+        assert outcome(iou) == outcome(iou_reference)
 
 
 TIE_DETS = [det(0, 0, 0.9, B), det(0, 0, 0.8, (0.0, 0.0, 10.0, 5.0))]
