@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import time
-from decimal import Decimal, InvalidOperation
 
 
 class UsageError(Exception):
@@ -77,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("detections", help="detections JSON (as written by infer)")
     p.add_argument("annotations", help="annotation JSON (COCO-subset schema)")
     p.add_argument("--conf", type=_fraction, default=0.25, help="operating confidence for P/R/F1")
-    p.add_argument("--sweep", default="0.5:0.95:0.05", help="IoU sweep start:stop:step")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("bench", help="three-phase latency benchmark on synthetic input")
@@ -175,24 +173,6 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _parse_sweep(text: str) -> list[float]:
-    """IoU thresholds from start:stop:step, each a whole number of hundredths
-    in [0, 1]. The sweep must include 0.5, where mAP@0.50 and P/R/F1 are taken."""
-    try:
-        lo, hi, step = (Decimal(v) * 100 for v in text.split(":"))
-    except (ValueError, InvalidOperation):
-        raise UsageError(f"bad sweep {text!r}, expected start:stop:step") from None
-    if not all(v.is_finite() and v == v.to_integral_value() for v in (lo, hi, step)):
-        raise UsageError(f"bad sweep {text!r}: values must be multiples of 0.01")
-    lo, hi, step = int(lo), int(hi), int(step)
-    if not 0 <= lo <= hi <= 100 or step < 1:
-        raise UsageError(f"bad sweep {text!r}: need 0 <= start <= stop <= 1, step >= 0.01")
-    thresholds = [i / 100 for i in range(lo, hi + 1, step)]
-    if 0.5 not in thresholds:
-        raise UsageError(f"bad sweep {text!r}: 0.5 must be in the sweep")
-    return thresholds
-
-
 def cmd_eval(args) -> int:
     from .io_formats import FormatError, read_annotations, read_detections
     from .metrics import evaluate
@@ -217,15 +197,14 @@ def cmd_eval(args) -> int:
          (a.bbox[0], a.bbox[1], a.bbox[0] + a.bbox[2], a.bbox[1] + a.bbox[3]))
         for a in anns.annotations
     ]
-    report = evaluate(det_tuples, gt_tuples, _parse_sweep(args.sweep), args.conf)
+    report = evaluate(det_tuples, gt_tuples, operating_conf=args.conf)
 
     names = {c.id: c.name for c in anns.categories}
-    t_lo = report.thresholds[0]
-    rows = []  # (class id, name, AP at the first threshold, AP mean over the sweep)
+    rows = []  # (class id, name, AP@0.50, AP mean over the sweep)
     for cid in report.class_ids:
         ap, n = report.ap[cid], len(report.thresholds)
-        ap_mean = None if ap[t_lo] is None else sum(ap[t] for t in report.thresholds) / n
-        rows.append((cid, names.get(cid, str(cid)), ap[t_lo], ap_mean))
+        ap_mean = None if ap[0.5] is None else sum(ap[t] for t in report.thresholds) / n
+        rows.append((cid, names.get(cid, str(cid)), ap[0.5], ap_mean))
     if args.format == "json":
         record = {
             "schema": "y11.eval/1",
@@ -237,20 +216,20 @@ def cmd_eval(args) -> int:
             "f1": report.f1,
             "operating_conf": report.operating_conf,
             "per_class": {
-                str(cid): {"name": name, f"ap{round(t_lo * 100)}": ap_lo, "ap_mean": ap_mean}
-                for cid, name, ap_lo, ap_mean in rows
+                str(cid): {"name": name, "ap50": ap50, "ap_mean": ap_mean}
+                for cid, name, ap50, ap_mean in rows
             },
         }
         print(json.dumps(record))
     else:
-        print(f"{'class':>6}  {'name':<16} {'AP@' + format(t_lo, '.2f'):>8}  {'AP mean':>8}")
-        for cid, name, ap_lo, ap_mean in rows:
-            if ap_lo is None:
+        print(f"{'class':>6}  {'name':<16} {'AP@0.50':>8}  {'AP mean':>8}")
+        for cid, name, ap50, ap_mean in rows:
+            if ap50 is None:
                 print(f"{cid:>6}  {name:<16} {'n/a':>8}  {'n/a':>8}")
             else:
-                print(f"{cid:>6}  {name:<16} {ap_lo:>8.4f}  {ap_mean:>8.4f}")
+                print(f"{cid:>6}  {name:<16} {ap50:>8.4f}  {ap_mean:>8.4f}")
         print(f"mAP@0.50: {report.map50:.6f}")
-        print(f"mAP@[{t_lo:.2f}:{report.thresholds[-1]:.2f}]: {report.map5095:.6f}")
+        print(f"mAP@[0.50:0.95]: {report.map5095:.6f}")
         print(
             f"P/R/F1 @conf {report.operating_conf}: "
             f"{report.precision:.4f} / {report.recall:.4f} / {report.f1:.4f}"
@@ -363,26 +342,11 @@ def _apply_thread_cap() -> None:
             os.environ[var] = threads
 
 
-def _join_sweep(argv: list[str]) -> list[str]:
-    """`--sweep VALUE` as `--sweep=VALUE`. argparse reads a separate value
-    that starts with '-', such as a negative start, as a flag, so only the
-    joined form reaches `_parse_sweep` and its range check."""
-    out, i = [], 0
-    while i < len(argv) and argv[i] != "--":
-        if argv[i] == "--sweep" and i + 1 < len(argv):
-            out.append(f"--sweep={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(argv[i])
-            i += 1
-    return out + argv[i:]
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         _apply_thread_cap()
-        args = parser.parse_args(_join_sweep(sys.argv[1:] if argv is None else list(argv)))
+        args = parser.parse_args(argv)
         return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

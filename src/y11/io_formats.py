@@ -37,7 +37,6 @@ from .tensor import Tensor
 __all__ = [
     "FormatError",
     "read_ppm",
-    "write_ppm",
     "WEIGHTS_MAGIC",
     "WEIGHTS_VERSION",
     "write_weights",
@@ -108,15 +107,6 @@ def read_ppm(data: bytes) -> Tensor:
     arr = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, 3)
     planes = arr.transpose(2, 0, 1).astype(np.float32) / 255.0
     return Tensor._wrap(planes[None])
-
-
-def write_ppm(image: Tensor) -> bytes:
-    """Serialize a 1x3xHxW tensor in [0, 1] to binary P6."""
-    if image.n != 1 or image.c != 3:
-        raise ValueError(f"write_ppm expects a 1x3xHxW tensor, got {image.shape}")
-    arr = np.clip(np.rint(image.data[0] * 255.0), 0, 255).astype(np.uint8)
-    header = f"P6\n{image.w} {image.h}\n255\n".encode("ascii")
-    return header + arr.transpose(1, 2, 0).tobytes()
 
 
 # ---------------------------------------------------------------------------

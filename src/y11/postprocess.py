@@ -147,8 +147,8 @@ def decode_head(
         rows = head.T[cell]
         dist_logits = rows[:, : 4 * reg_max].reshape(cell.size, 4, reg_max)
         probs = softmax_lastaxis(dist_logits.transpose(1, 0, 2))
-        # one product per head: BLAS rounding depends on the row count, a joint one moves boxes
-        dists = (probs @ bins) * np.float32(stride)  # (4, M): left, top, right, bottom
+        # a per-row sum rounds the same however many cells pass conf; a BLAS product does not
+        dists = (probs * bins).sum(-1) * np.float32(stride)  # (4, M): left, top, right, bottom
         cx = (cell % tensor.w + 0.5) * stride
         cy = (cell // tensor.w + 0.5) * stride
         boxes = np.stack([cx - dists[0], cy - dists[1], cx + dists[2], cy + dists[3]], axis=1)
@@ -203,10 +203,11 @@ def nms(candidates: Candidates | Iterable[Detection], iou_thresh: float) -> list
 def unletterbox(dets: Sequence[Detection], meta: LetterboxMeta) -> list[Detection]:
     """Map boxes from letterboxed space back to original-image pixels,
     clipping to the image bounds. Coordinates come back as floats."""
+    cands = Candidates.of(dets)
     pad = np.array([meta.pad_left, meta.pad_top] * 2, dtype=np.float64)
     limit = np.array([meta.orig_w, meta.orig_h] * 2, dtype=np.float64)
-    boxes = (np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4) - pad) / meta.scale
+    boxes = (cands.boxes - pad) / meta.scale
     # min(max(v, 0), limit) as Python's min/max do it: -0.0 and NaN pass unchanged
     boxes = np.where(boxes < 0.0, 0.0, boxes)
     boxes = np.where(boxes > limit, limit, boxes)
-    return [Detection(d.class_id, d.score, tuple(box)) for d, box in zip(dets, boxes.tolist())]
+    return list(Candidates(boxes, cands.scores, cands.class_ids))

@@ -1,10 +1,12 @@
 """Dense NCHW tensors and the primitive kernels every network block is built from.
 
-Everything is 32-bit float and pure: kernels never mutate their inputs and
-always return freshly allocated tensors. Padded convolutions and pools read a
-bordered copy of the input from `_pad`: a new array filled with the border
-value (0 for convolution, -inf for pooling) with the input copied into its
-interior, bitwise equal to `np.pad` at a fraction of its per-call cost. Dense
+Everything is 32-bit float and pure: kernels never mutate their inputs.
+Outputs are read-only, so sharing them is safe: `split_channels` returns
+views of a single image's channels, and a one-part `concat_channels` returns
+its input. Padded convolutions and pools read a bordered copy of the input
+from `_pad`: a new array filled with the border value (0 for convolution,
+-inf for pooling) with the input copied into its interior, bitwise equal to
+`np.pad` at a fraction of its per-call cost. Dense
 and grouped convolutions run as im2col plus one matrix multiply batched over
 the groups. Depthwise convolution, which has too little arithmetic per byte
 for a matrix multiply to pay, accumulates k*k shifted, strided slices of the

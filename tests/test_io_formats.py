@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import write_ppm
 from y11 import io_formats
 from y11.io_formats import (
     FormatError,
@@ -14,7 +15,6 @@ from y11.io_formats import (
     read_ppm,
     read_weights,
     write_detections,
-    write_ppm,
     write_weights,
 )
 from y11.tensor import Tensor

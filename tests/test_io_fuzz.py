@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_ppm
 from oracle_helpers import read_detections_reference
 from y11.io_formats import (
     FormatError,
@@ -22,7 +23,6 @@ from y11.io_formats import (
     read_detections,
     read_ppm,
     read_weights,
-    write_ppm,
     write_weights,
 )
 from y11.tensor import Tensor

@@ -137,6 +137,23 @@ class TestDecodeHead:
             assert type(d.class_id) is int and type(d.score) is float
             assert type(d.box) is tuple and all(type(v) is float for v in d.box)
 
+    def test_box_does_not_depend_on_how_many_cells_pass(self):
+        # A kept cell's box must be the same bits whichever conf kept it: the
+        # cells kept at a higher conf are those scoring above it at conf 0.5.
+        rng = np.random.default_rng(12)
+        strides = [8, 16, 32]
+        for trial in range(25):
+            raw = [Tensor(rng.standard_normal((1, 4 * 16 + 3, s, s)).astype(np.float32) * 3)
+                   for s in (40, 20, 10)]
+            low = decode_head(raw, strides, 16, 3, 0.5)
+            for conf in (0.9, 0.99, 0.999):
+                high = decode_head(raw, strides, 16, 3, conf)
+                same = low.scores > np.float32(conf)  # decode compares float32 scores
+                assert 0 < len(high) < len(low)
+                assert np.array_equal(high.scores, low.scores[same])
+                assert np.array_equal(high.class_ids, low.class_ids[same])
+                assert high.boxes.tobytes() == low.boxes[same].tobytes()
+
 
 def random_candidates(rng, count, classes=3, span=40.0):
     out = []
