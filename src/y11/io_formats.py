@@ -19,7 +19,11 @@ Weights container (all integers little-endian):
 The file ends exactly after the last entry. Annotations and detection dumps
 are JSON; annotations follow a strict subset of the COCO schema and detection
 dumps carry COCO-style xywh boxes with fixed 6-decimal formatting so equal
-inputs produce byte-equal files.
+inputs produce byte-equal files. `read_annotations` and `read_detections` run
+with Python's cyclic garbage collector paused (`_gcpause.gc_paused`): the
+parsed JSON and the records built from it hold no reference cycles, and
+collections set off by their allocations would only walk them. The pause is
+process-wide and the collector's state is restored on return or raise.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._gcpause import gc_paused
 from .tensor import Tensor
 
 __all__ = [
@@ -252,6 +257,7 @@ class AnnotationSet:
     categories: list[Category]
 
 
+@gc_paused
 def read_annotations(text: str) -> AnnotationSet:
     """Parse and validate the annotation JSON; every foreign key must resolve."""
     doc = _load_json(text, "annotations")
@@ -348,6 +354,7 @@ def write_detections(dets: Sequence[DumpDetection]) -> str:
     return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
+@gc_paused
 def read_detections(text: str) -> list[DumpDetection]:
     """Parse a detection dump. Every bbox value must be finite and w, h >= 0;
     zero is allowed, since unletterboxing can clip a box to zero width.

@@ -3,7 +3,9 @@ average precision by exact integration of the precision-recall envelope, and
 mAP averaged over classes and over the IoU threshold sweep 0.50:0.05:0.95.
 The sweep is matched in one pass: each IoU between a detection and a ground
 truth of the same (image, class) is computed once and reused at every
-threshold.
+threshold. `evaluate` runs with Python's cyclic garbage collector paused
+(`_gcpause.gc_paused`), since its per-detection lists hold no reference
+cycles; the collector's state is restored on return or raise.
 
 Detections are (image_id, class_id, score, (x1, y1, x2, y2)) tuples and ground
 truths are (image_id, class_id, (x1, y1, x2, y2)); boxes use pixel xyxy.
@@ -14,6 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from ._gcpause import gc_paused
 
 __all__ = [
     "iou",
@@ -194,6 +198,7 @@ class EvalReport:
     f1: float
 
 
+@gc_paused
 def evaluate(
     dets: Sequence[DetTuple],
     gts: Sequence[GtTuple],

@@ -170,6 +170,28 @@ def _iou_one_many(cols: np.ndarray, i: int, rest: np.ndarray) -> np.ndarray:
     return np.where(union > 0, inter / np.maximum(union, 1e-30), 0.0)
 
 
+def _visit_order(cands: Candidates) -> np.ndarray:
+    """The row order of `np.lexsort` over the key (-score, class id, x1, y1,
+    x2, y2), ties kept in row order. Scores rarely tie, so a stable sort on
+    the score alone does most of the work, and the rest of the key sorts
+    only the rows inside runs of equal scores (NaN counts as equal to NaN,
+    as in lexsort)."""
+    neg = -cands.scores
+    order = np.argsort(neg, kind="stable")
+    ranked = neg[order]
+    tie = (ranked[1:] == ranked[:-1]) | (np.isnan(ranked[1:]) & np.isnan(ranked[:-1]))
+    if tie.any():
+        # positions in a run of equal scores, and each position's run number
+        edge = np.concatenate(([False], tie, [False]))
+        tied = np.flatnonzero(edge[:-1] | edge[1:])
+        run = np.cumsum(np.concatenate(([True], ~tie)))[tied]
+        rows = order[tied]
+        b = cands.boxes[rows]
+        order[tied] = rows[np.lexsort((b[:, 3], b[:, 2], b[:, 1], b[:, 0],
+                                       cands.class_ids[rows], run))]
+    return order
+
+
 def nms(candidates: Candidates | Iterable[Detection], iou_thresh: float) -> list[Detection]:
     """Greedy class-aware non-maximum suppression.
 
@@ -181,8 +203,7 @@ def nms(candidates: Candidates | Iterable[Detection], iou_thresh: float) -> list
     """
     cands = Candidates.of(candidates)
     boxes = cands.boxes
-    order = np.lexsort((boxes[:, 3], boxes[:, 2], boxes[:, 1], boxes[:, 0],
-                        cands.class_ids, -cands.scores))
+    order = _visit_order(cands)
     # ranks grouped by class, each group in rank order
     ranked_ids = cands.class_ids[order]
     ranks = np.argsort(ranked_ids, kind="stable")

@@ -1,6 +1,8 @@
 """Letterbox, head decoding, NMS, and inverse coordinate mapping."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_tensor
 from oracle_helpers import (
@@ -227,6 +229,13 @@ def tie_heavy_candidates(rng, count):
     return out
 
 
+TIED_SCORES = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0])
+CORNERS = st.sampled_from([-0.0, 0.0, 5.0])
+SIDES = st.sampled_from([-0.0, 0.0, 5.0, 10.0])
+GRID_BOXES = st.tuples(CORNERS, CORNERS, SIDES, SIDES).map(
+    lambda b: (b[0], b[1], b[0] + b[2], b[1] + b[3]))
+
+
 class TestColumnarAgainstReference:
     def test_decode_equals_per_scale_records(self):
         rng = np.random.default_rng(10)
@@ -262,6 +271,17 @@ class TestColumnarAgainstReference:
             want = nms_reference(cands, thresh)
             for given in (cands, Candidates.of(cands), iter(cands)):
                 assert repr(nms(given, thresh)) == repr(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), TIED_SCORES, GRID_BOXES), max_size=30),
+           st.integers(0, 30), st.sampled_from([0.0, 1 / 3, 0.5]))
+    def test_nms_on_tied_scores_equals_reference(self, records, repeats, thresh):
+        # equal scores within and across classes, repeated boxes, and -0.0 beside 0.0
+        cands = [Detection(*r) for r in records]
+        cands += cands[:repeats]
+        want = repr(nms_reference(cands, thresh))
+        assert repr(nms(cands, thresh)) == want
+        assert repr(nms(Candidates.of(cands), thresh)) == want
 
     @pytest.mark.parametrize("conf", [0.001, 0.25])
     def test_dump_text_equals_reference_path(self, conf):
