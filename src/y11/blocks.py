@@ -35,7 +35,6 @@ from .tensor import (
 
 __all__ = [
     "ConvBlock",
-    "NonFiniteFold",
     "Bottleneck",
     "C3K",
     "C3K2",
@@ -54,15 +53,6 @@ _SOFTMAX_COST = 5
 _SPPF_POOL = 5  # kernel of each of SPPF's three chained max-pools
 
 
-class NonFiniteFold(ValueError):
-    """A ConvBlock whose parameters fold to a non-finite weight or bias; the
-    graph that owns `leaf` names it by its weight-file prefix."""
-
-    def __init__(self, leaf: "ConvBlock", part: str, channel: int) -> None:
-        super().__init__(f"weights fold to a non-finite {part} in output channel {channel}")
-        self.leaf = leaf
-
-
 class ConvBlock:
     """Convolution, optional batch-norm, optional SiLU; the universal leaf.
 
@@ -70,10 +60,13 @@ class ConvBlock:
     the FLOP model read them. `forward` runs one convolution with the
     batch-norm folded into its weight and bias (`fold_batchnorm`), computed on
     the first call and cached; a leaf without batch-norm runs `spec` itself.
-    That first call also refuses a non-finite folded weight or bias
-    (NonFiniteFold). `set_entry` drops the cached fold, so parameters must
-    change through it.
+    That first call also refuses a non-finite folded weight or bias. Fold and
+    entry errors name the leaf by `name`: the weight-file path (e.g.
+    `layer23.box0.2`) that the graph building it sets, or "conv". `set_entry`
+    drops the cached fold, so parameters must change through it.
     """
+
+    name = "conv"
 
     def __init__(self, spec: ConvSpec, bn: BatchNormParams | None, act: str = "silu") -> None:
         if act not in ("silu", "none"):
@@ -110,14 +103,15 @@ class ConvBlock:
 
     def _fold(self) -> ConvSpec:
         """The spec `forward` runs. Non-finite parameters (a NaN or Inf weight,
-        bias, gamma, beta or mean, or an overflowing fold) raise
-        NonFiniteFold here, once, rather than spreading through the network."""
+        bias, gamma, beta or mean, or an overflowing fold) raise ValueError
+        here, once, rather than spreading through the network."""
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             folded = self.spec if self.bn is None else fold_batchnorm(self.spec, self.bn)
         for part, arr in (("weight", folded.weight), ("bias", folded.bias)):
             if arr is not None and not np.isfinite(arr).all():
                 bad = ~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1)
-                raise NonFiniteFold(self, part, int(np.flatnonzero(bad)[0]))
+                raise ValueError(f"{self.name}: weights fold to a non-finite {part} "
+                                 f"in output channel {int(np.flatnonzero(bad)[0])}")
         return folded
 
     def entries(self) -> Iterator[tuple[str, np.ndarray]]:
@@ -131,16 +125,16 @@ class ConvBlock:
             yield "mean", self.bn.mean
             yield "var", self.bn.var
 
-    def _check_entry(self, name: str, value: np.ndarray, label: str | None = None) -> np.ndarray:
+    def _check_entry(self, name: str, value: np.ndarray) -> np.ndarray:
         """`value` as the float32 array `set_entry(name, value)` stores, setting
         nothing. Raises KeyError for an unknown name, and ValueError naming the
-        entry as `label` (default `name`) for a shape other than the current
-        one or a negative or non-finite running variance."""
+        entry `f"{self.name}.{name}"` for a shape other than the current one or
+        a negative or non-finite running variance."""
         current = dict(self.entries()).get(name)
         if current is None:
             raise KeyError(name)
         value = np.asarray(value, dtype=np.float32)
-        label = name if label is None else label
+        label = f"{self.name}.{name}"
         if value.shape != current.shape:
             raise ValueError(
                 f"entry {label!r}: shape {tuple(value.shape)} does not match "

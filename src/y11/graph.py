@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .blocks import C2PSA, C3K2, SPPF, ConvBlock, NonFiniteFold, _Composite, iter_leaf_blocks
+from .blocks import C2PSA, C3K2, SPPF, ConvBlock, _Composite, iter_leaf_blocks
 from .tensor import ConvSpec, Tensor, concat_channels, upsample_nearest2x
 
 __all__ = [
@@ -198,7 +198,8 @@ class ModelGraph:
 
     One walker, `_walk`, visits the layers in order and resolves each layer's
     inputs; `forward` runs it over tensors, and `count_flops` and
-    `layer_summary` run it over (channels, h, w) shape tuples.
+    `layer_summary` run it over (channels, h, w) shape tuples. The conv leaves
+    are walked once, at build: each gets its weight-file path as its `name`.
     """
 
     def __init__(self, variant: str, num_classes: int = 80, reg_max: int = 16) -> None:
@@ -216,6 +217,7 @@ class ModelGraph:
         self.blocks: list[object | None] = []
         self.out_channels: list[int] = []
         self.save: set[int] = set()  # outputs a later non-adjacent layer reads
+        self._leaves: list[tuple[str, ConvBlock]] = []  # (weight-file path, leaf)
         units = scale_units(_BASE_UNITS, scaling)
         for index, (kind, froms, args) in enumerate(_BASE_LAYERS):
             froms = tuple(index - 1 if f == -1 else f for f in froms)
@@ -236,10 +238,14 @@ class ModelGraph:
                 block = DetectHead([self.out_channels[f] for f in froms], num_classes, reg_max)
             self.layers.append(LayerSpec(index, kind, froms))
             self.blocks.append(block)
+            if block is not None:
+                self._leaves += iter_leaf_blocks(block, f"layer{index}")
             if kind == "Concat":
                 self.out_channels.append(sum(self.out_channels[f] for f in froms))
             else:  # Upsample keeps its input's width
                 self.out_channels.append(c_in if block is None else block.out_channels)
+        for path, leaf in self._leaves:
+            leaf.name = path
 
     # -- layer walk ------------------------------------------------------
 
@@ -264,7 +270,8 @@ class ModelGraph:
         """Run the network; returns the three raw head tensors (P3, P4, P5).
 
         A leaf whose parameters fold to a non-finite weight or bias raises
-        ValueError naming its weight-file prefix (e.g. `layer23.box0.2`).
+        its ValueError, which starts with its weight-file prefix
+        (`ConvBlock.name`, e.g. `layer23.box0.2`).
         """
         if image.c != 3:
             raise ValueError(f"expected 3 input channels, got {image.c}")
@@ -272,19 +279,13 @@ class ModelGraph:
             raise ValueError(
                 f"input size {image.h}x{image.w} must be divisible by 32"
             )
-        try:
-            return self._walk(image, _run_layer)
-        except NonFiniteFold as err:
-            path = next(path for path, leaf in self.named_leaf_blocks() if leaf is err.leaf)
-            raise ValueError(f"{path}: {err}") from None
+        return self._walk(image, _run_layer)
 
     # -- parameter traversal ----------------------------------------------
 
-    def named_leaf_blocks(self) -> Iterator[tuple[str, ConvBlock]]:
-        for spec, block in zip(self.layers, self.blocks):
-            if block is None:
-                continue
-            yield from iter_leaf_blocks(block, f"layer{spec.index}")
+    def named_leaf_blocks(self) -> list[tuple[str, ConvBlock]]:
+        """Every conv leaf as (weight-file path, leaf), in canonical order."""
+        return self._leaves
 
     def _entries(self) -> Iterator[tuple[str, ConvBlock, str, np.ndarray]]:
         """Every parameter as (entry name, leaf, suffix, current array), in
@@ -391,7 +392,7 @@ class ModelGraph:
         if extra:
             raise ValueError(f"weights file has unknown entry {extra[0]!r}")
         checked = [
-            (leaf, suffix, leaf._check_entry(suffix, provided[name], name))
+            (leaf, suffix, leaf._check_entry(suffix, provided[name]))
             for name, leaf, suffix, _ in expected
         ]
         for leaf, suffix, value in checked:

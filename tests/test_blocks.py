@@ -119,6 +119,17 @@ class TestConvBlock:
         x = Tensor(np.zeros((1, 3, 8, 8)))
         assert block(x).shape == (1, 8, 4, 4)
 
+    def test_lone_leaf_names_itself_conv(self):
+        block = randomize(ConvBlock.create(3, 4, k=3), 6)
+        weight = block.spec.weight.copy()
+        weight[2, 1, 0, 0] = np.nan
+        block.set_entry("weight", weight)
+        with pytest.raises(ValueError) as err:
+            block(random_tensor(np.random.default_rng(7), 1, 3, 5, 5))
+        assert str(err.value) == "conv: weights fold to a non-finite weight in output channel 2"
+        with pytest.raises(ValueError, match=r"^entry 'conv\.var': running variance"):
+            block.set_entry("var", np.full(4, -1.0, dtype=np.float32))
+
 
 class TestBottleneck:
     def test_zero_weights_shortcut_is_identity(self):

@@ -187,9 +187,7 @@ class TestInfer:
         code, stdout, err = run(capsys, *argv)
         assert code == 1 and "--nc" in err and stdout == ""
 
-    @pytest.mark.parametrize("command, flag", [
-        ("infer", "--seed"), ("bench", "--seed"), ("bench", "--warmup"),
-    ])
+    @pytest.mark.parametrize("command, flag", [("infer", "--seed"), ("bench", "--warmup")])
     def test_negative_seed_or_warmup_is_usage_error(self, small_ppm, command, flag, capsys):
         argv = [command, flag, "-1"] + ([str(small_ppm)] if command == "infer" else [])
         code, stdout, err = run(capsys, *argv)
@@ -381,6 +379,12 @@ class TestBench:
     def test_bad_size_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "bench", "--size", "100")
         assert code == 1
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--conf", "0.5"), ("--iou", "0.5")])
+    def test_fixed_settings_are_not_flags(self, capsys, flag, value):
+        # bench always times seed-0 weights at infer's default conf and IoU
+        code, stdout, err = run(capsys, "bench", "--size", "64", flag, value)
+        assert code == 1 and "unrecognized arguments" in err and flag in err and stdout == ""
 
 
 class TestSummary:

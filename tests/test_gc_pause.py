@@ -1,8 +1,8 @@
-"""The cyclic collector pause around the JSON readers and `evaluate`: each
-call runs with the collector off and leaves its state as it found it, the
-decorated functions keep their names, docstrings and signatures, the pause
-leaves no garbage behind, and no other code in the package toggles the
-collector."""
+"""The cyclic collector pause around the JSON readers, `evaluate` and
+`y11 eval`: each call runs with the collector off and leaves its state as it
+found it, the decorated functions keep their names, docstrings and
+signatures, the pause leaves no garbage behind, and no other code in the
+package toggles the collector."""
 import ast
 import gc
 import inspect
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import y11
-from y11 import io_formats, metrics
+from y11 import cli, io_formats, metrics
 from y11.io_formats import DumpDetection, FormatError, write_detections
 
 ANNOTATIONS = json.dumps({
@@ -154,6 +154,65 @@ def test_paused_calls_leave_no_garbage():
     else:
         pytest.fail("the malformed dump was read")
     assert gc.collect() == 0
+
+
+def set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def parser_garbage():
+    """Unreachable objects that building and running the CLI's argument
+    parser leaves: argparse's parsers and actions refer to each other."""
+    gc.collect()
+    cli.build_parser().parse_args(["eval", "dets.json", "anns.json"])
+    return gc.collect()
+
+
+def test_eval_command_leaves_only_the_parsers_garbage(tmp_path, capsys):
+    det_text, ann_text = eval_sized_texts()
+    det_path, ann_path = tmp_path / "dets.json", tmp_path / "anns.json"
+    det_path.write_text(det_text)
+    ann_path.write_text(ann_text)
+    expected = parser_garbage()
+    for fmt in ("text", "json"):
+        gc.collect()
+        assert cli.main(["eval", str(det_path), str(ann_path), "--format", fmt]) == 0
+        assert gc.collect() == expected
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_eval_command_runs_paused_and_restores_the_collector(monkeypatch, tmp_path, capsys,
+                                                             enabled):
+    # the record tuples that `cmd_eval` builds after the readers return run paused too
+    seen = []
+    read_annotations = io_formats.read_annotations
+
+    def spy(text):
+        result = read_annotations(text)
+        seen.append(gc.isenabled())
+        return result
+
+    monkeypatch.setattr(io_formats, "read_annotations", spy)
+    det_path, ann_path = tmp_path / "dets.json", tmp_path / "anns.json"
+    ann_path.write_text(ANNOTATIONS)
+    was_enabled = gc.isenabled()
+    set_collector(enabled)
+    try:
+        det_path.write_text(DETECTIONS)
+        assert cli.main(["eval", str(det_path), str(ann_path)]) == 0
+        assert gc.isenabled() is enabled
+        # a detection on an image the annotations lack fails inside `cmd_eval`
+        det_path.write_text(write_detections([DumpDetection(7, 2, (4.0, 5.0, 10.0, 12.0), 0.9)]))
+        assert cli.main(["eval", str(det_path), str(ann_path)]) == 2
+        assert gc.isenabled() is enabled
+    finally:
+        set_collector(was_enabled)
+    assert seen == [False, False]
+    assert "image_id 7" in capsys.readouterr().err
 
 
 def test_collector_is_toggled_only_by_the_helper():

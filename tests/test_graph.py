@@ -405,6 +405,44 @@ class TestLoadState:
             build_graph("n").load_state(entries)
 
 
+class TestLeafNames:
+    @pytest.mark.parametrize("variant", ["n", "s"])
+    def test_each_leaf_is_named_by_its_entries_prefix(self, variant):
+        g = build_graph(variant)
+        names = [name for name, _ in g.state_entries()]
+        leaves = g.named_leaf_blocks()
+        for path, leaf in leaves:
+            assert leaf.name == path
+            assert [n for n in names if n.startswith(f"{path}.")] == [
+                f"{path}.{suffix}" for suffix, _ in leaf.entries()]
+        assert sum(len(list(leaf.entries())) for _, leaf in leaves) == len(names)
+
+    def test_leaves_are_walked_once_per_build(self, monkeypatch):
+        from y11 import graph as graph_module
+
+        walks = []
+        real = graph_module.iter_leaf_blocks
+
+        def counting(block, prefix=""):
+            walks.append(prefix)
+            return real(block, prefix)
+
+        monkeypatch.setattr(graph_module, "iter_leaf_blocks", counting)
+        g = build_graph("n")
+        assert walks == [f"layer{i}" for i, b in enumerate(g.blocks) if b is not None]
+        walks.clear()
+        g.init_random(0).load_state(g.state_entries())
+        g.forward(random_tensor(np.random.default_rng(0), 1, 3, 64, 64))
+        assert walks == []
+
+    def test_graph_leaf_names_its_bad_variance(self):
+        leaf = build_graph("n").blocks[0]
+        with pytest.raises(ValueError) as err:
+            leaf.set_entry("var", np.full(leaf.out_channels, -1.0, dtype=np.float32))
+        assert str(err.value) == (
+            "entry 'layer0.var': running variance must be finite and non-negative")
+
+
 class TestNonFiniteWeights:
     @pytest.mark.parametrize("name, value", [("layer23.box0.2.bias", np.nan),
                                              ("layer0.weight", np.inf)])
