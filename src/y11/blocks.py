@@ -1,12 +1,12 @@
 """Composite network blocks: Conv-BN-SiLU, CSP bottleneck family, SPPF, attention.
 
 Blocks own their parameters and expose a pure ``forward``. The leaves are
-always ConvBlock instances. Every other block here is a `_Composite`: it
-lists its sub-blocks with ``children()``, in a fixed order that names the
-weight-file entries, and the last child is its exit, so its width, its call
-and its FLOPs (the children's plus its own arithmetic) follow from that list.
-Parameter traversal for counting, initialization and weight files goes
-through ``children()`` / ``iter_leaf_blocks``.
+always ConvBlock instances. Every other block here is a `_Composite`, whose
+``children()`` are the sub-blocks its ``__init__`` sets, in that order, which
+names the weight-file entries. The last child is its exit, so its width, its
+call and its FLOPs follow from that list; a subclass defines only ``forward``
+and, where needed, ``_own_flops``. Parameter traversal for counting,
+initialization and weight files goes through ``iter_leaf_blocks``.
 
 YOLOv11 fixes their internals, so these are constants, not arguments: 3x3
 residual bottlenecks, a C3K of two bottlenecks at half its width, k=5 SPPF
@@ -179,10 +179,22 @@ class ConvBlock:
 
 class _Composite:
     """A block made of named children, whose last child in `children()` is
-    its exit. Subclasses define `children()` and `forward`, and override
+    its exit. The children are the ConvBlock and `_Composite` attributes that
+    `__init__` sets, in the order it sets them; a list attribute (`units`)
+    gives its items as m0, m1, ..., and other values (widths, head counts,
+    scales) are not children. Subclasses define `forward`, and override
     `_own_flops` when they compute more than their children do (residual
     adds, pools, attention matmuls); calls, width and FLOPs come from here.
     """
+
+    def children(self) -> list[tuple[str, object]]:
+        out: list[tuple[str, object]] = []
+        for name, value in vars(self).items():
+            if isinstance(value, list):
+                out += [(f"m{i}", unit) for i, unit in enumerate(value)]
+            elif isinstance(value, (ConvBlock, _Composite)):
+                out.append((name, value))
+        return out
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.forward(x)
@@ -206,9 +218,6 @@ class Bottleneck(_Composite):
         self.cv1 = ConvBlock.create(c, c_hidden, k=3)
         self.cv2 = ConvBlock.create(c_hidden, c, k=3)
 
-    def children(self) -> list[tuple[str, object]]:
-        return [("cv1", self.cv1), ("cv2", self.cv2)]
-
     def forward(self, x: Tensor) -> Tensor:
         return x + self.cv2(self.cv1(x))
 
@@ -217,15 +226,10 @@ class Bottleneck(_Composite):
 
 
 class _CSP(_Composite):
-    """CSP skeleton: cv1 makes two `c_hidden` halves, the units chain on the
-    last, and cv2 projects the concatenation of every intermediate. A
-    subclass builds `c_hidden`, `cv1`, `units` and `cv2`."""
-
-    def children(self) -> list[tuple[str, object]]:
-        out: list[tuple[str, object]] = [("cv1", self.cv1)]
-        out += [(f"m{i}", u) for i, u in enumerate(self.units)]
-        out.append(("cv2", self.cv2))
-        return out
+    """The split-chain-concatenate `forward` that C3K2 inherits: cv1 makes
+    two `c_hidden` halves, the units chain on the last, and cv2 projects the
+    concatenation of every intermediate. A subclass sets `c_hidden`, `cv1`,
+    `units` and `cv2`, in that order."""
 
     def forward(self, x: Tensor) -> Tensor:
         ys = split_channels(self.cv1(x), [self.c_hidden, self.c_hidden])
@@ -242,15 +246,9 @@ class C3K(_Composite):
     def __init__(self, c: int) -> None:
         c_hidden = c // 2
         self.cv1 = ConvBlock.create(c, c_hidden, k=1)
-        self.cv2 = ConvBlock.create(c, c_hidden, k=1)  # entry bypass
         self.units = [Bottleneck(c_hidden, e=1.0) for _ in range(2)]
+        self.cv2 = ConvBlock.create(c, c_hidden, k=1)  # entry bypass
         self.cv3 = ConvBlock.create(2 * c_hidden, c, k=1)
-
-    def children(self) -> list[tuple[str, object]]:
-        out: list[tuple[str, object]] = [("cv1", self.cv1)]
-        out += [(f"m{i}", u) for i, u in enumerate(self.units)]
-        out += [("cv2", self.cv2), ("cv3", self.cv3)]
-        return out
 
     def forward(self, x: Tensor) -> Tensor:
         y = self.cv1(x)
@@ -285,9 +283,6 @@ class SPPF(_Composite):
         self.cv1 = ConvBlock.create(c, c_hidden, k=1)
         self.cv2 = ConvBlock.create(4 * c_hidden, c, k=1)
 
-    def children(self) -> list[tuple[str, object]]:
-        return [("cv1", self.cv1), ("cv2", self.cv2)]
-
     def forward(self, x: Tensor) -> Tensor:
         ys = [self.cv1(x)]
         for _ in range(3):
@@ -314,9 +309,6 @@ class AttentionLayer(_Composite):
         self.pe = ConvBlock.create(dim, dim, k=3, groups=dim, act="none")
         self.proj = ConvBlock.create(dim, dim, k=1, act="none")
 
-    def children(self) -> list[tuple[str, object]]:
-        return [("qkv", self.qkv), ("pe", self.pe), ("proj", self.proj)]
-
     def _split_qkv(self, x: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         b, hw = x.n, x.h * x.w
         per_head = 2 * self.key_dim + self.head_dim
@@ -332,7 +324,7 @@ class AttentionLayer(_Composite):
         scores = np.matmul(q.transpose(0, 1, 3, 2), k) * np.float32(self.scale)
         attn = softmax_lastaxis(scores)
         mixed = np.matmul(v, attn.transpose(0, 1, 3, 2)).reshape(b, c, h, w)
-        pos = self.pe(Tensor._wrap(np.ascontiguousarray(v.reshape(b, c, h, w))))
+        pos = self.pe(Tensor._wrap(v.reshape(b, c, h, w)))
         return self.proj(Tensor._wrap(mixed) + pos)
 
     def _own_flops(self, h: int, w: int) -> float:
@@ -350,9 +342,6 @@ class PSABlock(_Composite):
         self.ffn1 = ConvBlock.create(c, 2 * c, k=1)
         self.ffn2 = ConvBlock.create(2 * c, c, k=1, act="none")
 
-    def children(self) -> list[tuple[str, object]]:
-        return [("attn", self.attn), ("ffn1", self.ffn1), ("ffn2", self.ffn2)]
-
     def forward(self, x: Tensor) -> Tensor:
         y = x + self.attn(x)
         return y + self.ffn2(self.ffn1(y))
@@ -361,7 +350,7 @@ class PSABlock(_Composite):
         return 2 * self.out_channels * h * w  # two residual adds
 
 
-class C2PSA(_CSP):
+class C2PSA(_Composite):
     """CSP-wrapped attention that keeps its width c: split the entry output in
     halves, run PSA blocks on one half, concatenate, and project back to c."""
 

@@ -365,6 +365,35 @@ class TestCompositeWidth:
                 "_Branch"} <= kinds
 
 
+class TestChildren:
+    @pytest.mark.parametrize(
+        "factory, names",
+        [
+            (lambda: Bottleneck(8), ["cv1", "cv2"]),
+            (lambda: C3K(8), ["cv1", "m0", "m1", "cv2", "cv3"]),
+            (lambda: C3K2(8, 8, n=2), ["cv1", "m0", "m1", "cv2"]),
+            (lambda: C3K2(8, 8, n=1, c3k=True), ["cv1", "m0", "cv2"]),
+            (lambda: SPPF(8), ["cv1", "cv2"]),
+            (lambda: AttentionLayer(16, 2), ["qkv", "pe", "proj"]),
+            (lambda: PSABlock(16, 2), ["attn", "ffn1", "ffn2"]),
+            (lambda: C2PSA(16, n=2), ["cv1", "m0", "m1", "cv2"]),
+        ],
+        ids=["Bottleneck", "C3K", "C3K2", "C3K2-c3k", "SPPF", "AttentionLayer", "PSABlock",
+             "C2PSA"],
+    )
+    def test_children_are_the_blocks_init_sets_in_order(self, factory, names):
+        # The order names the weight-file entries, so a reorder in an
+        # __init__ fails here by name.
+        block = factory()
+        children = block.children()
+        assert [name for name, _ in children] == names
+        units = iter(getattr(block, "units", []))
+        for name, child in children:
+            assert isinstance(child, (ConvBlock, blocks._Composite))
+            assert child is (next(units) if name[0] == "m" else getattr(block, name))
+        assert block.out_channels == children[-1][1].out_channels
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "factory",
