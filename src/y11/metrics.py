@@ -207,8 +207,14 @@ def evaluate(
 ) -> EvalReport:
     """Full evaluation: AP per class per threshold, mAP@0.5, mAP@[.5:.95],
     and micro-averaged P/R/F1 at IoU 0.5 for detections above operating_conf.
+    The thresholds must be distinct, finite, in [0, 1], and include 0.5.
     """
     thresholds = list(thresholds) if thresholds is not None else default_thresholds()
+    for i, t in enumerate(thresholds):
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"IoU threshold {t} is not a finite value in [0, 1]")
+        if t in thresholds[:i]:
+            raise ValueError(f"IoU threshold {t} repeats in {thresholds}")
     if 0.5 not in thresholds:
         raise ValueError(f"thresholds {thresholds} must include 0.5 for mAP@0.5")
     ap: dict[int, dict[float, float | None]] = {}

@@ -6,12 +6,11 @@ views of a single image's channels, and a one-part `concat_channels` returns
 its input. Padded convolutions and pools read a bordered copy of the input
 from `_pad`: a new array filled with the border value (0 for convolution,
 -inf for pooling) with the input copied into its interior, bitwise equal to
-`np.pad` at a fraction of its per-call cost. Dense
-and grouped convolutions run as im2col plus one matrix multiply batched over
-the groups. Depthwise convolution, which has too little arithmetic per byte
-for a matrix multiply to pay, accumulates k*k shifted, strided slices of the
-padded input times one weight per channel. Max pooling is separable: a running
-maximum over k strided row slices, then over k strided column slices. Both are
+`np.pad` at a fraction of its per-call cost. Every convolution (pointwise,
+dense, grouped or depthwise) runs one algorithm: im2col as one strided window
+view of the padded input, copied once into columns, then one matrix multiply
+batched over the groups. Max pooling is separable: a running maximum over k
+strided row slices, then over k strided column slices. Both are
 pinned to their direct definitions; the test suite checks them against
 independent naive implementations.
 """
@@ -213,42 +212,25 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
 
     data = _pad(x.data, p, 0.0) if p else x.data
     n, c_out = x.n, spec.out_channels
-    w = spec.weight
+    cpg, opg = x.c // g, c_out // g
+    # im2col through one view: axis (ky, kx) steps one cell, axis (oy, ox) one
+    # stride. Its extent (o-1)*s + k never passes the padded input, by
+    # conv_output_dim. Rows are ordered (group, channel in group, ky, kx), so
+    # one matmul batched over the groups does every conv: pointwise, dense,
+    # grouped and depthwise. A stride-1 1x1 view is the input itself, so
+    # ascontiguousarray copies nothing there.
+    sn, sc, sh, sw = data.strides
+    win = np.lib.stride_tricks.as_strided(
+        data, (n, x.c, k, k, oh, ow), (sn, sc, sh, sw, s * sh, s * sw), writeable=False
+    )
+    cols = np.ascontiguousarray(win).reshape(n, g, cpg * k * k, oh * ow)
+    out = np.matmul(spec.weight.reshape(g, opg, cpg * k * k), cols)
 
-    if k == 1 and g == 1:
-        # Pointwise fast path: no window materialization needed.
-        cols = np.ascontiguousarray(data[:, :, ::s, ::s]).reshape(n, x.c, oh * ow)
-        out = np.matmul(w.reshape(c_out, x.c), cols)
-    elif g == x.c and c_out == x.c:
-        out = _depthwise(data, w[:, 0], s, oh, ow)
-    else:
-        # im2col: rows ordered (group, channel in group, ky, kx), so one
-        # batched matmul does every group, dense conv being the case g = 1.
-        cpg, opg = x.c // g, c_out // g
-        win = np.lib.stride_tricks.sliding_window_view(data, (k, k), axis=(2, 3))
-        cols = np.ascontiguousarray(win[:, :, ::s, ::s].transpose(0, 1, 4, 5, 2, 3))
-        out = np.matmul(
-            w.reshape(g, opg, cpg * k * k), cols.reshape(n, g, cpg * k * k, oh * ow)
-        )
-
-    # Every branch above allocates `out`, so the bias can go in place.
-    out = out.reshape(n, c_out, oh, ow).astype(np.float32, copy=False)
+    # matmul allocates `out`, so the bias can go in place.
+    out = out.reshape(n, c_out, oh, ow)
     if spec.bias is not None:
         out += spec.bias.reshape(1, c_out, 1, 1)
     return Tensor._wrap(out)
-
-
-def _depthwise(data: np.ndarray, w: np.ndarray, s: int, oh: int, ow: int) -> np.ndarray:
-    # Depthwise conv over an already padded (N, C, H, W) array with per-channel
-    # kernels w of shape (C, k, k): one multiply-accumulate per tap, each over
-    # the strided slice of the input that tap sees.
-    k = w.shape[-1]
-    out = np.zeros((data.shape[0], data.shape[1], oh, ow), dtype=np.float32)
-    for ky in range(k):
-        for kx in range(k):
-            tap = data[:, :, ky : ky + (oh - 1) * s + 1 : s, kx : kx + (ow - 1) * s + 1 : s]
-            out += tap * w[:, ky, kx, None, None]
-    return out
 
 
 def fold_batchnorm(spec: ConvSpec, bn: BatchNormParams) -> ConvSpec:

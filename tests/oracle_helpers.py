@@ -22,7 +22,9 @@ maximum taken by numpy's reduction for every row length, and
 fancy index. `read_detections_reference` is the per-record reader that the
 column checks of `io_formats.read_detections` replaced, building the package's
 `DumpDetection` and `FormatError`, and `iou_reference` is `metrics.iou` with
-the builtin `min` and `max`.
+the builtin `min` and `max`. `conv2d_three_path_reference` is the pointwise
+matmul, depthwise tap loop and sliding-window im2col that `tensor.conv2d`'s
+one strided view replaced.
 """
 from __future__ import annotations
 
@@ -68,6 +70,45 @@ def conv2d_direct(
                     if bias is not None:
                         acc += float(bias[co])
                     out[ni, co, oy, ox] = acc
+    return out
+
+
+def conv2d_three_path_reference(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray | None,
+    stride: int,
+    groups: int,
+) -> np.ndarray:
+    """`tensor.conv2d` before its one im2col view, with padding k//2: a
+    pointwise matmul for 1x1 dense convs, k*k strided tap multiply-adds for
+    depthwise convs, and a sliding-window im2col batched over the groups for
+    the rest. Float32 throughout, like the package."""
+    n, c_in, h, w = x.shape
+    c_out, cpg, k, _ = weight.shape
+    s, p, g = stride, k // 2, groups
+    oh = (h + 2 * p - k) // s + 1
+    ow = (w + 2 * p - k) // s + 1
+    data = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    if k == 1 and g == 1:
+        cols = np.ascontiguousarray(data[:, :, ::s, ::s]).reshape(n, c_in, oh * ow)
+        out = np.matmul(weight.reshape(c_out, c_in), cols)
+    elif g == c_in == c_out:
+        out = np.zeros((n, c_in, oh, ow), dtype=np.float32)
+        for ky in range(k):
+            for kx in range(k):
+                tap = data[:, :, ky : ky + (oh - 1) * s + 1 : s, kx : kx + (ow - 1) * s + 1 : s]
+                out += tap * weight[:, 0, ky, kx, None, None]
+    else:
+        opg = c_out // g
+        win = np.lib.stride_tricks.sliding_window_view(data, (k, k), axis=(2, 3))
+        cols = np.ascontiguousarray(win[:, :, ::s, ::s].transpose(0, 1, 4, 5, 2, 3))
+        out = np.matmul(
+            weight.reshape(g, opg, cpg * k * k), cols.reshape(n, g, cpg * k * k, oh * ow)
+        )
+    out = out.reshape(n, c_out, oh, ow)
+    if bias is not None:
+        out += bias.reshape(1, c_out, 1, 1)
     return out
 
 

@@ -397,6 +397,26 @@ class TestMeanAP:
         with pytest.raises(ValueError, match="must include 0.5"):
             evaluate(FIXTURE_DETS, FIXTURE_GTS, [0.3, 0.55])
 
+    # One detection at IoU 0.8 with its ground truth: AP 1 at 0.5, 0 at 0.9.
+    SHORT = [det(0, 0, 0.9, (0, 0, 10, 8))]
+    TALL = [gt(0, 0, B)]
+
+    def test_repeated_threshold_raises(self):
+        assert evaluate(self.SHORT, self.TALL, [0.5, 0.9]).map5095 == 0.5
+        with pytest.raises(ValueError, match="threshold 0.5 repeats"):
+            evaluate(self.SHORT, self.TALL, [0.5, 0.5, 0.9])
+
+    def test_non_finite_threshold_raises(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"threshold {bad} is not a finite value"):
+                evaluate(self.SHORT, self.TALL, [0.5, bad])
+
+    def test_threshold_outside_unit_interval_raises(self):
+        for bad in (1.5, -0.1):
+            with pytest.raises(ValueError, match=f"threshold {bad} is not a finite value"):
+                evaluate(self.SHORT, self.TALL, [0.5, bad, 2.0])
+        evaluate(self.SHORT, self.TALL, [0.0, 0.5, 1.0])
+
     def test_map5095_not_above_map50(self):
         report = evaluate(FIXTURE_DETS, FIXTURE_GTS)
         assert report.map5095 <= report.map50 + 1e-12

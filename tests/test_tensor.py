@@ -7,7 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tensor
-from oracle_helpers import conv2d_direct, maxpool2d_direct, softmax_reference
+from oracle_helpers import (
+    conv2d_direct,
+    conv2d_three_path_reference,
+    maxpool2d_direct,
+    softmax_reference,
+)
 from y11.tensor import (
     BatchNormParams,
     ConvSpec,
@@ -95,25 +100,37 @@ class TestConv2d:
         with pytest.raises(ValueError, match="groups"):
             ConvSpec(3, 4, 1, groups=2)
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_direct_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 3))
-        groups = int(rng.choice([1, 1, 2, 3]))
-        cpg_in = int(rng.integers(1, 5))
-        cpg_out = int(rng.integers(1, 5))
-        c_in, c_out = groups * cpg_in, groups * cpg_out
-        k = int(rng.choice([1, 3]))
-        s = int(rng.choice([1, 2]))
-        h = int(rng.integers(k, 17))
-        w = int(rng.integers(k, 17))
-        weight = rng.uniform(-1, 1, (c_out, cpg_in, k, k)).astype(np.float32)
+    @staticmethod
+    def _check_against_direct(rng, n, c_in, c_out, groups, k, s, h, w):
+        weight = rng.uniform(-1, 1, (c_out, c_in // groups, k, k)).astype(np.float32)
         bias = rng.uniform(-1, 1, c_out).astype(np.float32) if rng.random() < 0.5 else None
         x = rng.uniform(-1, 1, (n, c_in, h, w)).astype(np.float32)
         spec = ConvSpec(c_in, c_out, k, stride=s, groups=groups, weight=weight, bias=bias)
         got = conv2d(Tensor(x), spec).data
         want = conv2d_direct(x, weight, bias, s, k // 2, groups)
         assert np.max(np.abs(got - want)) < 1e-5
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_direct_oracle(self, seed):
+        # Each seed draws a dense or grouped conv, then a depthwise one
+        # (groups = c_in = c_out) on inputs as small as k x k.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 3))
+        groups = int(rng.choice([1, 1, 2, 3]))
+        cpg_in = int(rng.integers(1, 5))
+        cpg_out = int(rng.integers(1, 5))
+        k = int(rng.choice([1, 3]))
+        s = int(rng.choice([1, 2]))
+        h = int(rng.integers(k, 17))
+        w = int(rng.integers(k, 17))
+        self._check_against_direct(rng, n, groups * cpg_in, groups * cpg_out, groups, k, s, h, w)
+        n = int(rng.integers(1, 3))
+        c = int(rng.integers(1, 7))
+        k = int(rng.choice([1, 3]))
+        s = int(rng.choice([1, 2]))
+        h = int(rng.integers(k, 9))
+        w = int(rng.integers(k, 9))
+        self._check_against_direct(rng, n, c, c, c, k, s, h, w)
 
     def test_depthwise_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -156,6 +173,55 @@ class TestConv2d:
                 conv2d(Tensor(np.zeros((1, 1, h, w))), spec)
         else:
             assert conv2d(Tensor(np.zeros((1, 1, h, w))), spec).shape == (1, 1, oh, ow)
+
+
+class TestConv2dAgainstThreePaths:
+    """The one strided view against the three algorithms it replaced: the same
+    bytes wherever the reference multiplies matrices, and ulps off its tap
+    loop, which took every conv with groups = c_in = c_out (one channel too)
+    and whose k*k taps the matmul sums in its own order."""
+
+    @pytest.mark.parametrize("kind", ["dense", "grouped", "depthwise"])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_equals_reference(self, kind, k, stride):
+        rng = np.random.default_rng(100 * k + 10 * stride + len(kind))
+        for n in (1, 2):
+            for h, w in ((k, k), (k + 1, k + 2), (11, 8), (16, 16)):
+                for with_bias in (False, True):
+                    a, b = (int(v) for v in rng.integers(1, 5, 2))
+                    groups, c_in, c_out = {
+                        "dense": (1, a, b),
+                        "grouped": (a + 1, (a + 1) * b, (a + 1) * a),
+                        "depthwise": (a + b, a + b, a + b),
+                    }[kind]
+                    weight = rng.standard_normal((c_out, c_in // groups, k, k)).astype(np.float32)
+                    bias = rng.standard_normal(c_out).astype(np.float32) if with_bias else None
+                    x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
+                    spec = ConvSpec(c_in, c_out, k, stride, groups, weight, bias)
+                    got = conv2d(Tensor(x), spec).data
+                    want = conv2d_three_path_reference(x, weight, bias, stride, groups)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    if groups == c_in == c_out:  # the tap loop's rule, 1 channel too
+                        assert np.all(np.abs(got - want) <= 1e-6 * (1 + np.abs(want)))
+                    else:
+                        assert got.tobytes() == want.tobytes()
+
+    def test_stride1_pointwise_multiplies_the_input_in_place(self, monkeypatch):
+        # The 1x1 stride-1 window view is the input itself, so no column copy.
+        seen = []
+        real_matmul = np.matmul
+
+        def matmul(a, b):
+            seen.append(b)
+            return real_matmul(a, b)
+
+        monkeypatch.setattr(np, "matmul", matmul)
+        x = random_tensor(np.random.default_rng(0), 2, 4, 5, 6)
+        conv2d(x, ConvSpec(4, 3, 1))
+        conv2d(x, ConvSpec(4, 3, 1, stride=2))
+        assert np.shares_memory(seen[0], x.data)
+        assert not np.shares_memory(seen[1], x.data)
 
 
 class TestFoldBatchnorm:
