@@ -200,8 +200,8 @@ class EvalReport:
 
 @gc_paused
 def evaluate(
-    dets: Sequence[DetTuple],
-    gts: Sequence[GtTuple],
+    dets: Iterable[DetTuple],
+    gts: Iterable[GtTuple],
     thresholds: Sequence[float] | None = None,
     operating_conf: float = 0.25,
 ) -> EvalReport:
@@ -209,6 +209,9 @@ def evaluate(
     and micro-averaged P/R/F1 at IoU 0.5 for detections above operating_conf.
     The thresholds must be distinct, finite, in [0, 1], and include 0.5.
     """
+    # the AP sweep and the operating-point match both read the inputs, so an
+    # iterator is drained once here rather than silently emptied by the first
+    dets, gts = list(dets), list(gts)
     thresholds = list(thresholds) if thresholds is not None else default_thresholds()
     for i, t in enumerate(thresholds):
         if not 0.0 <= t <= 1.0:

@@ -2,17 +2,16 @@
 
 Everything is 32-bit float and pure: kernels never mutate their inputs.
 Outputs are read-only, so sharing them is safe: `split_channels` returns
-views of a single image's channels, and a one-part `concat_channels` returns
-its input. Padded convolutions and pools read a bordered copy of the input
-from `_pad`: a new array filled with the border value (0 for convolution,
--inf for pooling) with the input copied into its interior, bitwise equal to
-`np.pad` at a fraction of its per-call cost. Every convolution (pointwise,
-dense, grouped or depthwise) runs one algorithm: im2col as one strided window
-view of the padded input, copied once into columns, then one matrix multiply
-batched over the groups. Max pooling is separable: a running maximum over k
-strided row slices, then over k strided column slices. Both are
-pinned to their direct definitions; the test suite checks them against
-independent naive implementations.
+views of a single image's channels. Padded convolutions and pools read a
+bordered copy of the input from `_pad`: a new array filled with the border
+value (0 for convolution, -inf for pooling) with the input copied into its
+interior, bitwise equal to `np.pad` at a fraction of its per-call cost.
+Every convolution (pointwise, dense, grouped or depthwise) runs one
+algorithm: im2col as one strided window view of the padded input, copied
+once into columns, then one matrix multiply batched over the groups. Max
+pooling is separable: a running maximum over k strided row slices, then over
+k strided column slices. Both are pinned to their direct definitions; the
+test suite checks them against independent naive implementations.
 """
 from __future__ import annotations
 
@@ -213,15 +212,16 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     data = _pad(x.data, p, 0.0) if p else x.data
     n, c_out = x.n, spec.out_channels
     cpg, opg = x.c // g, c_out // g
-    # im2col through one view: axis (ky, kx) steps one cell, axis (oy, ox) one
-    # stride. Its extent (o-1)*s + k never passes the padded input, by
-    # conv_output_dim. Rows are ordered (group, channel in group, ky, kx), so
-    # one matmul batched over the groups does every conv: pointwise, dense,
-    # grouped and depthwise. A stride-1 1x1 view is the input itself, so
-    # ascontiguousarray copies nothing there.
+    # im2col through one view of data's buffer: axis (ky, kx) steps one cell,
+    # axis (oy, ox) one stride. Its extent (o-1)*s + k never passes the padded
+    # input, by conv_output_dim, and numpy checks it against the buffer. Rows
+    # are ordered (group, channel in group, ky, kx), so one matmul batched over
+    # the groups does every conv: pointwise, dense, grouped and depthwise. A
+    # stride-1 1x1 view is the input itself, so ascontiguousarray copies
+    # nothing there.
     sn, sc, sh, sw = data.strides
-    win = np.lib.stride_tricks.as_strided(
-        data, (n, x.c, k, k, oh, ow), (sn, sc, sh, sw, s * sh, s * sw), writeable=False
+    win = np.ndarray(
+        (n, x.c, k, k, oh, ow), np.float32, data, 0, (sn, sc, sh, sw, s * sh, s * sw)
     )
     cols = np.ascontiguousarray(win).reshape(n, g, cpg * k * k, oh * ow)
     out = np.matmul(spec.weight.reshape(g, opg, cpg * k * k), cols)
@@ -329,13 +329,13 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
                 f"concat_channels: mismatched dims {t.shape} vs {first.shape} "
                 "(batch and spatial extents must agree)"
             )
-    if len(parts) == 1:
-        return first
     return Tensor._wrap(np.concatenate([t.data for t in parts], axis=1))
 
 
 def split_channels(x: Tensor, sizes: Sequence[int]) -> list[Tensor]:
     """Inverse of concat_channels: slice the channel axis into the given sizes."""
+    if any(s < 0 for s in sizes):
+        raise ValueError(f"split sizes {list(sizes)} include a negative size")
     if sum(sizes) != x.c:
         raise ValueError(f"split sizes {list(sizes)} do not sum to {x.c} channels")
     out, start = [], 0
@@ -345,19 +345,8 @@ def split_channels(x: Tensor, sizes: Sequence[int]) -> list[Tensor]:
     return out
 
 
-_SHORT_ROW = 32  # softmax rows up to this long take their maximum column by column
-
-
 def softmax_lastaxis(a: np.ndarray) -> np.ndarray:
     """Row-stable softmax over the last axis of an arbitrary float array."""
     a = np.asarray(a, dtype=np.float32)
-    if a.shape[-1] <= _SHORT_ROW:
-        # numpy's max reduction costs more per row than a short row is long
-        # (the decode's 16-bin rows); a running maximum gives the same value
-        top = a[..., :1].copy(order="K")
-        for i in range(1, a.shape[-1]):
-            np.maximum(top, a[..., i : i + 1], out=top)
-    else:
-        top = a.max(axis=-1, keepdims=True)
-    e = np.exp(a - top)
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)

@@ -417,6 +417,16 @@ class TestMeanAP:
                 evaluate(self.SHORT, self.TALL, [0.5, bad, 2.0])
         evaluate(self.SHORT, self.TALL, [0.0, 0.5, 1.0])
 
+    def test_iterators_score_as_lists(self):
+        # the operating-point match reads the inputs after the AP sweep does
+        dets = [det(0, 1, 0.9, B), det(0, 1, 0.8, (20, 20, 30, 30))]
+        gts = [gt(0, 1, B)]
+        report = evaluate(dets, gts)
+        assert (report.precision, report.recall) == (0.5, 1.0)
+        assert evaluate(iter(dets), iter(gts)) == report
+        assert evaluate((d for d in FIXTURE_DETS), iter(FIXTURE_GTS)) == evaluate(
+            FIXTURE_DETS, FIXTURE_GTS)
+
     def test_map5095_not_above_map50(self):
         report = evaluate(FIXTURE_DETS, FIXTURE_GTS)
         assert report.map5095 <= report.map50 + 1e-12

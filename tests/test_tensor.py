@@ -431,8 +431,9 @@ class TestUpsampleConcat:
         assert np.isclose(up.data.sum(dtype=np.float64), 4 * x.data.sum(dtype=np.float64))
 
     def test_concat_single(self):
-        x = Tensor(np.zeros((1, 2, 3, 3)))
-        assert concat_channels([x]) is x
+        x = random_tensor(np.random.default_rng(4), 1, 2, 3, 3)
+        out = concat_channels([x])
+        assert out.data.tobytes() == x.data.tobytes() and out.shape == x.shape
 
     def test_concat_ordering(self):
         rng = np.random.default_rng(6)
@@ -451,6 +452,12 @@ class TestUpsampleConcat:
         x = random_tensor(rng, 2, 6, 4, 4)
         halves = split_channels(x, [3, 3])
         assert np.array_equal(concat_channels(halves).data, x.data)
+
+    def test_split_negative_size_raises(self):
+        x = Tensor(np.zeros((1, 4, 2, 2)))
+        with pytest.raises(ValueError, match=r"split sizes \[-1, 5\] include a negative"):
+            split_channels(x, [-1, 5])
+        assert [t.c for t in split_channels(x, [0, 4, 0])] == [0, 4, 0]
 
 
 class TestSoftmax:
@@ -476,8 +483,8 @@ class TestSoftmax:
 
     @pytest.mark.parametrize("length", [1, 2, 5, 16, 32, 33, 100])
     def test_equals_reduction_form_bitwise(self, length):
-        # Short rows take their maximum column by column; the result must be
-        # the reduction form's, on the decode's transposed layout too, with
+        # Every row length takes the one reduction path; it must equal
+        # softmax_reference on the decode's transposed layout too, with
         # repeated maxima and signed zeros.
         rng = np.random.default_rng(length)
         a = rng.standard_normal((60, 4 * length)).astype(np.float32) * 8
