@@ -23,6 +23,7 @@ from .tensor import (
     BatchNormParams,
     ConvSpec,
     Tensor,
+    _check_variance,
     concat_channels,
     conv2d,
     conv_output_dim,
@@ -84,8 +85,9 @@ class ConvBlock:
     def create(
         cls, c_in: int, c_out: int, k: int = 1, stride: int = 1, groups: int = 1, act: str = "silu"
     ) -> "ConvBlock":
-        """Zero-initialized conv with identity batch-norm and no bias;
-        init_random or load_state fills it in."""
+        """Zero-initialized conv with identity batch-norm and no bias. Its
+        parameters are read-only placeholders that share one constant;
+        init_random or load_state replaces them."""
         spec = ConvSpec(in_channels=c_in, out_channels=c_out, kernel=k, stride=stride, groups=groups)
         return cls(spec, BatchNormParams.identity(c_out), act)
 
@@ -125,12 +127,19 @@ class ConvBlock:
             yield "mean", self.bn.mean
             yield "var", self.bn.var
 
+    def _holder(self, name: str) -> object:
+        # The object whose attribute `name` is entry `name`, or None for a
+        # name that is no entry.
+        if name in ("weight", "bias"):
+            return self.spec
+        return self.bn if name in ("gamma", "beta", "mean", "var") else None
+
     def _check_entry(self, name: str, value: np.ndarray) -> np.ndarray:
         """`value` as the float32 array `set_entry(name, value)` stores, setting
         nothing. Raises KeyError for an unknown name, and ValueError naming the
         entry `f"{self.name}.{name}"` for a shape other than the current one or
         a negative or non-finite running variance."""
-        current = dict(self.entries()).get(name)
+        current = getattr(self._holder(name), name, None)
         if current is None:
             raise KeyError(name)
         value = np.asarray(value, dtype=np.float32)
@@ -140,8 +149,8 @@ class ConvBlock:
                 f"entry {label!r}: shape {tuple(value.shape)} does not match "
                 f"model shape {tuple(current.shape)}"
             )
-        if name == "var" and not np.all(np.isfinite(value) & (value >= 0)):
-            raise ValueError(f"entry {label!r}: running variance must be finite and non-negative")
+        if name == "var":
+            _check_variance(value, f"entry {label!r}: ")
         return value
 
     def set_entry(self, name: str, value: np.ndarray) -> None:
@@ -150,12 +159,7 @@ class ConvBlock:
     def _store(self, name: str, value: np.ndarray) -> None:
         """Set an entry that `_check_entry` has returned, and drop the fold."""
         self._folded = None
-        if name == "weight":
-            self.spec.weight = value
-        elif name == "bias":
-            self.spec.bias = value
-        else:
-            setattr(self.bn, name, value)
+        setattr(self._holder(name), name, value)
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
         s = self.spec

@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .blocks import C2PSA, C3K2, SPPF, ConvBlock, _Composite, iter_leaf_blocks
-from .tensor import ConvSpec, Tensor, concat_channels, upsample_nearest2x
+from .tensor import ConvSpec, Tensor, _placeholder, concat_channels, upsample_nearest2x
 
 __all__ = [
     "VariantSpec",
@@ -105,7 +105,7 @@ def scale_units(n: int, variant: VariantSpec) -> int:
 
 def _output_conv(c_in: int, c_out: int) -> ConvBlock:
     """A head branch's last 1x1 conv: zero bias, no batch-norm, no activation."""
-    spec = ConvSpec(c_in, c_out, 1, bias=np.zeros(c_out, dtype=np.float32))
+    spec = ConvSpec(c_in, c_out, 1, bias=_placeholder((c_out,), 0.0))
     return ConvBlock(spec, None, act="none")
 
 
@@ -403,7 +403,9 @@ class ModelGraph:
 def build_graph(variant: str, num_classes: int = 80, reg_max: int = 16) -> ModelGraph:
     """Assemble the detector for a scaling variant, one of n/s/m/l/x.
 
-    The graph comes out zero-initialized; call init_random or load_state
-    before meaningful use.
+    The graph comes out zero-initialized: zero weights and biases and
+    identity batch-norm, as read-only placeholders that allocate no buffer
+    (`tensor._placeholder`). Call init_random or load_state before
+    meaningful use; both replace the placeholders, never write into them.
     """
     return ModelGraph(variant, num_classes, reg_max)

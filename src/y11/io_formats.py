@@ -146,9 +146,10 @@ def read_weights(data: bytes) -> list[tuple[str, np.ndarray]]:
     it afterwards leaves the entries unchanged.
     """
     data = bytes(data)
+    size = len(data)
     if data[:4] != WEIGHTS_MAGIC:
         raise FormatError(f"weights: bad magic {data[:4]!r}")
-    if len(data) < 12:
+    if size < 12:
         raise FormatError("weights: truncated header")
     version, count = struct.unpack_from("<II", data, 4)
     if version != WEIGHTS_VERSION:
@@ -157,33 +158,37 @@ def read_weights(data: bytes) -> list[tuple[str, np.ndarray]]:
     out: list[tuple[str, np.ndarray]] = []
     seen = set()
     for i in range(count):
-        where = f"entry {i} at byte {pos}"
-        if pos + 2 > len(data):
-            raise FormatError(f"weights: truncated before name length of {where}")
+        start = pos  # only the error paths spell out `entry {i} at byte {start}`
+        if pos + 2 > size:
+            raise FormatError(
+                f"weights: truncated before name length of entry {i} at byte {start}"
+            )
         (name_len,) = struct.unpack_from("<H", data, pos)
         pos += 2
-        if pos + name_len + 2 > len(data):
-            raise FormatError(f"weights: truncated inside {where}")
+        if pos + name_len + 2 > size:
+            raise FormatError(f"weights: truncated inside entry {i} at byte {start}")
         try:
             name = data[pos : pos + name_len].decode("utf-8")
         except UnicodeDecodeError:
-            raise FormatError(f"weights: name of {where} is not valid UTF-8") from None
+            raise FormatError(
+                f"weights: name of entry {i} at byte {start} is not valid UTF-8"
+            ) from None
         pos += name_len
         if name in seen:
             raise FormatError(f"weights: duplicate entry {name!r}")
         seen.add(name)
-        dtype_code, rank = struct.unpack_from("<BB", data, pos)
+        dtype_code, rank = data[pos], data[pos + 1]
         pos += 2
         if dtype_code != 0:
             raise FormatError(f"weights: unknown dtype code {dtype_code} in {name!r}")
-        if pos + 4 * rank > len(data):
+        if pos + 4 * rank > size:
             raise FormatError(f"weights: truncated dims of {name!r} at byte {pos}")
         dims = struct.unpack_from(f"<{rank}I", data, pos)
         pos += 4 * rank
         payload = 4
         for d in dims:
             payload *= d
-        if pos + payload > len(data):
+        if pos + payload > size:
             raise FormatError(
                 f"weights: truncated payload of {name!r} at byte {pos} "
                 f"(need {payload} bytes)"
@@ -191,10 +196,12 @@ def read_weights(data: bytes) -> list[tuple[str, np.ndarray]]:
         try:  # numpy refuses a rank above 64, and a zero dim beside huge ones
             arr = np.frombuffer(data, dtype="<f4", count=payload // 4, offset=pos).reshape(dims)
         except ValueError as exc:
-            raise FormatError(f"weights: bad dims {dims} of {where}: {exc}") from None
+            raise FormatError(
+                f"weights: bad dims {dims} of entry {i} at byte {start}: {exc}"
+            ) from None
         pos += payload
         out.append((name, arr))
-    if pos != len(data):
+    if pos != size:
         raise FormatError(f"weights: trailing data after last entry at byte {pos}")
     return out
 

@@ -91,6 +91,23 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
+# The 4 bytes of float32 0 and 1 that every placeholder parameter views.
+_FILL = {0.0: np.float32(0).tobytes(), 1.0: np.float32(1).tobytes()}
+
+
+def _placeholder(shape: tuple[int, ...], value: float) -> np.ndarray:
+    """A read-only float32 array of `shape` holding `value` (0 or 1) in every
+    element, with no buffer of its own: all its strides are 0, so it views one
+    shared 4-byte constant. A fresh graph's parameters are these; loading a
+    state replaces them, never writes into them."""
+    return np.ndarray(shape, np.float32, _FILL[value], 0, (0,) * len(shape))
+
+
+def _check_variance(var: np.ndarray, where: str = "") -> None:
+    if not (np.isfinite(var) & (var >= 0)).all():
+        raise ValueError(f"{where}running variance must be finite and non-negative")
+
+
 def conv_output_dim(d: int, k: int, stride: int, padding: int) -> int:
     """Output extent along one axis: floor((d + 2p - k) / s) + 1."""
     return (d + 2 * padding - k) // stride + 1
@@ -102,7 +119,8 @@ class ConvSpec:
 
     Constraints: square kernel of size 1 or 3, stride 1 or 2; `padding` is not
     a field but always the shape-preserving k//2. Weight layout is
-    (out_channels, in_channels // groups, k, k); bias is optional.
+    (out_channels, in_channels // groups, k, k); bias is optional. Without a
+    weight, the weight is a read-only zero placeholder.
     """
 
     in_channels: int
@@ -127,7 +145,7 @@ class ConvSpec:
             )
         wshape = (self.out_channels, self.in_channels // self.groups, self.kernel, self.kernel)
         if self.weight is None:
-            self.weight = np.zeros(wshape, dtype=np.float32)
+            self.weight = _placeholder(wshape, 0.0)
         else:
             self.weight = np.asarray(self.weight, dtype=np.float32)
             if self.weight.shape != wshape:
@@ -162,8 +180,7 @@ class BatchNormParams:
         shapes = {a.shape for a in (self.gamma, self.beta, self.mean, self.var)}
         if len(shapes) != 1 or self.gamma.ndim != 1:
             raise ValueError("batch-norm parameters must be 1-D arrays of equal length")
-        if not np.all(np.isfinite(self.var) & (self.var >= 0)):
-            raise ValueError("running variance must be finite and non-negative")
+        _check_variance(self.var)
         if not self.eps > 0:
             raise ValueError("epsilon must be positive")
 
@@ -173,13 +190,9 @@ class BatchNormParams:
 
     @classmethod
     def identity(cls, channels: int, eps: float = 1e-3) -> "BatchNormParams":
-        return cls(
-            gamma=np.ones(channels, dtype=np.float32),
-            beta=np.zeros(channels, dtype=np.float32),
-            mean=np.zeros(channels, dtype=np.float32),
-            var=np.ones(channels, dtype=np.float32),
-            eps=eps,
-        )
+        """Unit gamma and variance, zero beta and mean, as read-only placeholders."""
+        one, zero = _placeholder((channels,), 1.0), _placeholder((channels,), 0.0)
+        return cls(gamma=one, beta=zero, mean=zero, var=one, eps=eps)
 
     def scale_shift(self) -> tuple[np.ndarray, np.ndarray]:
         """Fold statistics into a per-channel (scale, shift) pair."""
@@ -252,8 +265,8 @@ def fold_batchnorm(spec: ConvSpec, bn: BatchNormParams) -> ConvSpec:
         kernel=spec.kernel,
         stride=spec.stride,
         groups=spec.groups,
-        weight=weight.astype(np.float32),
-        bias=bias.astype(np.float32),
+        weight=weight,
+        bias=bias,
     )
 
 

@@ -16,8 +16,10 @@ per-leaf loops that `postprocess.unletterbox` and `ModelGraph.init_random`
 replaced. `decode_head_reference` and `nms_reference` are the per-scale decode
 and the per-record greedy NMS that the columnar `postprocess.decode_head` and
 `postprocess.nms` replaced; the decode drives the package's `sigmoid` and
-`softmax_lastaxis`. `softmax_reference` is `softmax_lastaxis` with the row
-maximum taken by numpy's reduction for every row length, and
+this file's `softmax_reference`. `softmax_reference` is a frozen copy of the
+one reduction path of `softmax_lastaxis` (row maximum by numpy's reduction,
+exp of the difference, divide by the row sum), which
+`TestSoftmax::test_equals_reduction_form_bitwise` pins bitwise, and
 `letterbox_reference` is `postprocess.letterbox` with its resize as one 2-D
 fancy index. `read_detections_reference` is the per-record reader that the
 column checks of `io_formats.read_detections` replaced, building the package's
@@ -264,7 +266,7 @@ def decode_head_reference(raw, strides, reg_max, num_classes, conf_thresh):
     """One scale at a time: the cells whose best class score exceeds
     conf_thresh, as `Detection` records in scale order, then cell order."""
     from y11.postprocess import Detection
-    from y11.tensor import sigmoid, softmax_lastaxis
+    from y11.tensor import sigmoid
 
     out = []
     for tensor, stride in zip(raw, strides):
@@ -278,7 +280,7 @@ def decode_head_reference(raw, strides, reg_max, num_classes, conf_thresh):
         class_ids = cls_logits[:, idx].argmax(axis=0)
         scores = sigmoid(cls_logits[class_ids, idx])
         dist_logits = flat[: 4 * reg_max, idx].reshape(4, reg_max, idx.size)
-        probs = softmax_lastaxis(dist_logits.transpose(0, 2, 1))
+        probs = softmax_reference(dist_logits.transpose(0, 2, 1))
         dists = (probs * np.arange(reg_max, dtype=np.float32)).sum(-1) * stride
         cx = (idx % w + 0.5) * stride
         cy = (idx // w + 0.5) * stride

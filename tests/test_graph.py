@@ -1,6 +1,7 @@
 """Model assembly, shape contracts, budget accounting, init and weight loading."""
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from y11.graph import (
     scale_channels,
     scale_units,
 )
+from y11.io_formats import write_weights
 from y11.tensor import ConvSpec, Tensor
 
 
@@ -116,6 +118,44 @@ class TestBuild:
         layout = "".join(f"{name}:{tuple(arr.shape)}\n" for name, arr in entries)
         digest = hashlib.sha256(layout.encode()).hexdigest()
         assert digest == self.STATE_LAYOUT_DIGESTS[variant]
+
+    # SHA-256 of write_weights(state_entries()) of a fresh graph: its values,
+    # zero weights and biases and identity batch-norm, as well as its layout.
+    FRESH_STATE_DIGESTS = {
+        "n": "63a123c3922ab051b56ebc7452b28866c802b78dd29fc1fdd7930200607f8418",
+        "s": "6f44021f894cabe93d273d5e5d2f861fd13f11c066679da568660a62892f815c",
+    }
+
+    @pytest.mark.parametrize("variant", sorted(FRESH_STATE_DIGESTS))
+    def test_fresh_state_pinned(self, variant):
+        data = write_weights(build_graph(variant).state_entries())
+        assert hashlib.sha256(data).hexdigest() == self.FRESH_STATE_DIGESTS[variant]
+
+    def test_fresh_entries_are_read_only_placeholders(self):
+        for _, arr in build_graph("n").state_entries():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 5.0
+
+    def test_filling_a_graph_leaves_fresh_graphs_alone(self):
+        a, b = build_graph("n"), build_graph("n")
+        a.init_random(0)
+        b.load_state(build_graph("n").init_random(1).state_entries())
+        ones = ("gamma", "var")
+        for name, arr in build_graph("n").state_entries():
+            want = 1.0 if name.rsplit(".", 1)[1] in ones else 0.0
+            assert np.array_equal(arr, np.full(arr.shape, want, dtype=np.float32)), name
+
+    @pytest.mark.parametrize("variant", ["n", "x"])
+    def test_build_allocates_no_parameters(self, variant):
+        # Fresh parameters view one shared constant, so building allocates no
+        # array buffers: x's zero weights alone would be over 200 MB.
+        tracemalloc.start()
+        try:
+            build_graph(variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestForward:

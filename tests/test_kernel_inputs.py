@@ -90,7 +90,14 @@ def test_fold_batchnorm(c_in, c_out, k, with_bias, seed):
     bn = BatchNormParams(gamma=normal(rng, (c_out,)), beta=normal(rng, (c_out,)),
                          mean=normal(rng, (c_out,)), var=np.abs(normal(rng, (c_out,))))
     assert bn.var.flags.writeable
-    call_unchanged(fold_batchnorm, spec, bn)
+    folded = call_unchanged(fold_batchnorm, spec, bn)
+    # float32 in, float32 out with no cast of its own: byte-equal to the plain
+    # products of the float32 scale and shift.
+    scale, shift = bn.scale_shift()
+    bias = shift if bias is None else spec.bias * scale + shift
+    assert folded.weight.dtype == folded.bias.dtype == np.float32
+    assert folded.weight.tobytes() == (spec.weight * scale[:, None, None, None]).tobytes()
+    assert folded.bias.tobytes() == bias.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
