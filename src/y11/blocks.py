@@ -63,8 +63,8 @@ class ConvBlock:
     the first call and cached; a leaf without batch-norm runs `spec` itself.
     That first call also refuses a non-finite folded weight or bias. Fold and
     entry errors name the leaf by `name`: the weight-file path (e.g.
-    `layer23.box0.2`) that the graph building it sets, or "conv". `set_entry`
-    drops the cached fold, so parameters must change through it.
+    `layer23.box0.2`) that the graph building it sets, or "conv". Its
+    parameters are read-only; `set_entry` replaces one and drops the fold.
     """
 
     name = "conv"
@@ -135,23 +135,26 @@ class ConvBlock:
         return self.bn if name in ("gamma", "beta", "mean", "var") else None
 
     def _check_entry(self, name: str, value: np.ndarray) -> np.ndarray:
-        """`value` as the float32 array `set_entry(name, value)` stores, setting
-        nothing. Raises KeyError for an unknown name, and ValueError naming the
-        entry `f"{self.name}.{name}"` for a shape other than the current one or
-        a negative or non-finite running variance."""
+        """`value` as the read-only float32 array `set_entry(name, value)` stores,
+        copied if the caller can still write to it; sets nothing. Raises KeyError
+        for an unknown name, and ValueError naming the entry `f"{self.name}.{name}"`
+        for a shape other than the current one or a negative or non-finite variance."""
         current = getattr(self._holder(name), name, None)
         if current is None:
             raise KeyError(name)
-        value = np.asarray(value, dtype=np.float32)
+        arr = np.asarray(value, dtype=np.float32)
         label = f"{self.name}.{name}"
-        if value.shape != current.shape:
+        if arr.shape != current.shape:
             raise ValueError(
-                f"entry {label!r}: shape {tuple(value.shape)} does not match "
+                f"entry {label!r}: shape {tuple(arr.shape)} does not match "
                 f"model shape {tuple(current.shape)}"
             )
         if name == "var":
-            _check_variance(value, f"entry {label!r}: ")
-        return value
+            _check_variance(arr, f"entry {label!r}: ")
+        if arr.flags.writeable:
+            arr = np.array(arr, copy=arr is value or arr.base is not None)
+            arr.flags.writeable = False
+        return arr
 
     def set_entry(self, name: str, value: np.ndarray) -> None:
         self._store(name, self._check_entry(name, value))

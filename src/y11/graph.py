@@ -363,10 +363,9 @@ class ModelGraph:
             if suffix == "weight":
                 bound = math.sqrt(6.0 / math.prod(arr.shape[1:]))  # fan_in = (c_in/groups)*k*k
                 value = rng.uniform(-bound, bound, arr.shape).astype(np.float32)
-            elif suffix in ("gamma", "var"):
-                value = np.ones(arr.shape, dtype=np.float32)
+                value.flags.writeable = False  # so load_state keeps it uncopied
             else:
-                value = np.zeros(arr.shape, dtype=np.float32)
+                value = _placeholder(arr.shape, 1.0 if suffix in ("gamma", "var") else 0.0)
             state.append((name, value))
         return self.load_state(state)
 

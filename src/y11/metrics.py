@@ -80,8 +80,10 @@ def match_detections(
     """Greedy matching: detections in descending score order claim their
     best-IoU unmatched same-class ground truth in the same image; a claim
     counts as TP iff that IoU >= iou_thresh. Each ground truth matches once.
-    Returns the score-ordered TP flags and ground-truth count per class.
-    """
+    Returns the score-ordered TP flags and ground-truth count per class;
+    scores and iou_thresh must be finite."""
+    if not np.isfinite(iou_thresh):
+        raise ValueError(f"IoU threshold {iou_thresh} is not finite")
     return _match_sweep(dets, gts, [iou_thresh])[0]
 
 
@@ -105,6 +107,9 @@ def _match_sweep(
 
     dets = list(dets)
     scores = np.array([d[2] for d in dets], dtype=np.float64)
+    if not np.isfinite(scores).all():
+        i = int(np.flatnonzero(~np.isfinite(scores))[0])
+        raise ValueError(f"detection {i} has a non-finite score {scores[i]}")
     order = np.argsort(-scores, kind="stable")
 
     # Rank positions per class, and (rank, best IoU, [(gt index, IoU > 0)])
@@ -207,8 +212,8 @@ def evaluate(
 ) -> EvalReport:
     """Full evaluation: AP per class per threshold, mAP@0.5, mAP@[.5:.95],
     and micro-averaged P/R/F1 at IoU 0.5 for detections above operating_conf.
-    The thresholds must be distinct, finite, in [0, 1], and include 0.5.
-    """
+    Scores and operating_conf must be finite, and the thresholds distinct,
+    finite, in [0, 1], and include 0.5."""
     # the AP sweep and the operating-point match both read the inputs, so an
     # iterator is drained once here rather than silently emptied by the first
     dets, gts = list(dets), list(gts)
@@ -220,6 +225,8 @@ def evaluate(
             raise ValueError(f"IoU threshold {t} repeats in {thresholds}")
     if 0.5 not in thresholds:
         raise ValueError(f"thresholds {thresholds} must include 0.5 for mAP@0.5")
+    if not np.isfinite(operating_conf):
+        raise ValueError(f"operating_conf {operating_conf} is not finite")
     ap: dict[int, dict[float, float | None]] = {}
     for t, by_class in zip(thresholds, _match_sweep(dets, gts, thresholds)):
         for cid, matches in by_class.items():

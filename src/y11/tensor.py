@@ -11,11 +11,12 @@ algorithm: im2col as one strided window view of the padded input, copied
 once into columns, then one matrix multiply batched over the groups. Max
 pooling is separable: a running maximum over k strided row slices, then over
 k strided column slices. Both are pinned to their direct definitions; the
-test suite checks them against independent naive implementations.
+test suite checks them against independent naive implementations. SiLU is
+its definition x / (1 + exp(-x)): one float32 division.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -197,8 +198,7 @@ class BatchNormParams:
     def scale_shift(self) -> tuple[np.ndarray, np.ndarray]:
         """Fold statistics into a per-channel (scale, shift) pair."""
         scale = self.gamma / np.sqrt(self.var + np.float32(self.eps))
-        shift = self.beta - self.mean * scale
-        return scale.astype(np.float32), shift.astype(np.float32)
+        return scale, self.beta - self.mean * scale
 
 
 def _pad(data: np.ndarray, p: int, value: float) -> np.ndarray:
@@ -257,17 +257,8 @@ def fold_batchnorm(spec: ConvSpec, bn: BatchNormParams) -> ConvSpec:
             f"fold_batchnorm: bn has {bn.channels} channels, conv outputs {spec.out_channels}"
         )
     scale, shift = bn.scale_shift()
-    weight = spec.weight * scale[:, None, None, None]
     bias = shift if spec.bias is None else spec.bias * scale + shift
-    return ConvSpec(
-        in_channels=spec.in_channels,
-        out_channels=spec.out_channels,
-        kernel=spec.kernel,
-        stride=spec.stride,
-        groups=spec.groups,
-        weight=weight,
-        bias=bias,
-    )
+    return replace(spec, weight=spec.weight * scale[:, None, None, None], bias=bias)
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:
@@ -285,15 +276,14 @@ def sigmoid(a: np.ndarray) -> np.ndarray:
 
 
 def silu(x: Tensor) -> Tensor:
-    """Elementwise x * sigmoid(x) in float32: x times the reciprocal of
-    1 + exp(-x). Where exp(-x) overflows to inf the product is -0.0, the
-    correct limit, so the overflow is silenced."""
+    """Elementwise x * sigmoid(x) in float32, as one division:
+    x / (1 + exp(-x)). Where exp(-x) overflows to inf the quotient is -0.0,
+    the correct limit, so the overflow is silenced."""
     d = np.negative(x.data)
     with np.errstate(over="ignore"):
         np.exp(d, out=d)
     d += 1
-    np.reciprocal(d, out=d)
-    return Tensor._wrap(np.multiply(d, x.data, out=d))
+    return Tensor._wrap(np.divide(x.data, d, out=d))
 
 
 def _max_taps(a: np.ndarray, axis: int, k: int, stride: int, n_out: int) -> np.ndarray:

@@ -1,4 +1,6 @@
 """Composite blocks: residual identities, composition oracles, shape contracts."""
+import array
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,26 @@ class TestConvBlock:
         with pytest.raises(ValueError, match=r"^entry 'conv\.var': running variance"):
             block.set_entry("var", np.full(4, -1.0, dtype=np.float32))
 
+    def test_construction_refuses_activation_and_bn_width(self):
+        spec = ConvSpec(3, 4, 1)
+        with pytest.raises(ValueError, match="^unsupported activation 'relu'$"):
+            ConvBlock(spec, None, act="relu")
+        with pytest.raises(ValueError, match="^batch-norm has 3 channels, conv outputs 4$"):
+            ConvBlock(spec, BatchNormParams.identity(3))
+
+    def test_stored_entry_shares_no_caller_buffer(self):
+        block = ConvBlock.create(3, 4)
+        held = array.array("f", [0.5] * 4)  # numpy views its buffer, copying nothing
+        block.set_entry("gamma", held)
+        held[0] = 9.0
+        assert np.all(block.bn.gamma == 0.5) and not block.bn.gamma.flags.writeable
+
+    @pytest.mark.parametrize("name", ["scale", "bias"])  # a create leaf has no bias
+    def test_unknown_entry_is_key_error(self, name):
+        block = ConvBlock.create(3, 4)
+        with pytest.raises(KeyError, match=f"^'{name}'$"):
+            block.set_entry(name, np.zeros(4, dtype=np.float32))
+
 
 class TestBottleneck:
     def test_zero_weights_shortcut_is_identity(self):
@@ -210,6 +232,10 @@ class TestC3K2:
         y0, y1 = split_channels(block.cv1(x), [4, 4])
         want = block.cv2(concat_channels([y0, y1, y1]))
         assert np.array_equal(block(x).data, want.data)
+
+    def test_zero_hidden_width_refused(self):
+        with pytest.raises(ValueError, match="^hidden channel count must be positive$"):
+            C3K2(8, 1, n=1)
 
 
 class TestSPPF:
@@ -341,6 +367,10 @@ class TestC2PSA:
         block = randomize(C2PSA(256, n=1), 4)
         x = random_tensor(np.random.default_rng(5), 1, 256, 20, 20)
         assert block(x).shape == (1, 256, 20, 20)
+
+    def test_zero_hidden_width_refused(self):
+        with pytest.raises(ValueError, match="^hidden channel count must be positive$"):
+            C2PSA(1, n=1)
 
 
 class TestCompositeWidth:

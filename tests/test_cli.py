@@ -109,7 +109,7 @@ class TestInfer:
         # output channel that feeds head channel `channel`.
         from y11.graph import build_graph
 
-        entries = build_graph("n").init_random(9).state_entries()
+        entries = [(n, a.copy()) for n, a in build_graph("n").init_random(9).state_entries()]
         for name, arr in entries:
             if name == entry:
                 arr[index] = value
@@ -129,7 +129,7 @@ class TestInfer:
     def test_non_finite_weights_name_the_leaf(self, small_ppm, tmp_path, capsys, entry, value):
         from y11.graph import build_graph
 
-        entries = build_graph("n").init_random(9).state_entries()
+        entries = [(n, a.copy()) for n, a in build_graph("n").init_random(9).state_entries()]
         for name, arr in entries:
             if name == entry:
                 arr.flat[0] = value
@@ -282,6 +282,15 @@ class TestEval:
         assert any(line.startswith("mAP@0.50: ") for line in lines)
         assert any(line.startswith("mAP@[0.50:0.95]: ") for line in lines)
         assert "P/R/F1" in stdout
+
+    def test_text_table_marks_a_class_without_ground_truth(self, tmp_path, capsys):
+        dets = [DumpDetection(0, 0, (10, 10, 20, 20), 0.9), DumpDetection(0, 2, (1, 1, 5, 5), 0.8)]
+        dets_path, anns_path = write_eval_fixture(tmp_path, dets)
+        anns = dict(ANNS, categories=ANNS["categories"] + [{"id": 2, "name": "bird"}])
+        anns_path.write_text(json.dumps(anns))
+        code, stdout, _ = run(capsys, "eval", str(dets_path), str(anns_path))
+        assert code == 0
+        assert f"{2:>6}  {'bird':<16} {'n/a':>8}  {'n/a':>8}" in stdout.splitlines()
 
     def test_bad_sweep_is_usage_error(self, tmp_path, capsys):
         dets_path, anns_path = write_eval_fixture(tmp_path, [])
@@ -436,6 +445,12 @@ class TestExitCodes:
 
     def test_unknown_variant_is_usage(self, capsys):
         assert run(capsys, "summary", "--variant", "z")[0] == 1
+
+    def test_conf_outside_unit_interval_is_usage(self, tmp_path, capsys):
+        dets_path, anns_path = write_eval_fixture(tmp_path, [])
+        code, stdout, err = run(capsys, "eval", str(dets_path), str(anns_path), "--conf", "1.5")
+        assert code == 1 and stdout == ""
+        assert "--conf" in err and "expected a value in [0, 1], got 1.5" in err
 
     def test_success_is_zero(self, capsys):
         assert run(capsys, "summary", "--variant", "n", "--size", "64")[0] == 0

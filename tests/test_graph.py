@@ -86,6 +86,12 @@ class TestBuild:
         assert g.num_classes == 11 and g.reg_max == 8
         assert g.blocks[-1].out_channels == 4 * 8 + 11
 
+    def test_classes_and_reg_max_refused_below_their_floor(self):
+        with pytest.raises(ValueError, match="^num_classes must be >= 1$"):
+            build_graph("n", num_classes=0)
+        with pytest.raises(ValueError, match="^reg_max must be >= 2$"):
+            build_graph("n", reg_max=1)
+
     def test_depth_scaled_unit_counts(self):
         assert len(build_graph("n").blocks[2].units) == 1  # ceil(2 * 0.5)
         assert len(build_graph("l").blocks[2].units) == 2
@@ -135,6 +141,20 @@ class TestBuild:
         for _, arr in build_graph("n").state_entries():
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 5.0
+
+    @pytest.mark.parametrize("fill", ["init_random", "load_state"])
+    def test_filled_entries_are_read_only(self, fill):
+        # An entry edited in place would leave the cached fold stale: the
+        # next forward would silently run the old weights.
+        g = build_graph("n").init_random(1)
+        if fill == "load_state":
+            copies = [(name, arr.copy()) for name, arr in g.state_entries()]
+            g = build_graph("n").load_state(copies)
+        g.forward(Tensor(np.zeros((1, 3, 64, 64))))
+        for name, arr in g.state_entries():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0.0
 
     def test_filling_a_graph_leaves_fresh_graphs_alone(self):
         a, b = build_graph("n"), build_graph("n")
@@ -186,6 +206,10 @@ class TestForward:
         g = build_graph("n")
         with pytest.raises(ValueError, match="divisible by 32"):
             g.forward(Tensor(np.zeros((1, 3, 100, 100))))
+
+    def test_input_channels_refused(self):
+        with pytest.raises(ValueError, match="^expected 3 input channels, got 1$"):
+            build_graph("n").forward(Tensor(np.zeros((1, 1, 64, 64))))
 
     def test_deterministic_bitwise(self):
         g = build_graph("n").init_random(3)
@@ -373,6 +397,31 @@ class TestInitRandom:
             bound = np.sqrt(6.0 / fan_in) * (1 + 1e-6)
             assert np.all(np.abs(spec.weight) <= bound), path
 
+    def test_drawn_weights_are_loaded_uncopied(self):
+        # The weights are drawn frozen, so load_state keeps them as they are:
+        # a copy of each would double the peak (about 20 MiB for n).
+        g = build_graph("n")
+        weight_bytes = sum(arr.nbytes for name, arr in g.state_entries()
+                           if name.endswith(".weight"))
+        tracemalloc.start()
+        try:
+            g.init_random(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * weight_bytes
+
+    def test_only_weights_are_drawn(self):
+        # Biases and batch-norm entries are the zero-stride placeholders a
+        # fresh graph holds, not arrays of their own.
+        ones = ("gamma", "var")
+        for name, arr in build_graph("n").init_random(0).state_entries():
+            suffix = name.rsplit(".", 1)[1]
+            if suffix == "weight":
+                continue
+            assert arr.strides == (0,) * arr.ndim, name
+            assert np.all(arr == (1.0 if suffix in ones else 0.0)), name
+
 
 class TestLoadState:
     def test_roundtrip_preserves_forward_bitwise(self):
@@ -444,6 +493,22 @@ class TestLoadState:
         with pytest.raises(ValueError, match="duplicate"):
             build_graph("n").load_state(entries)
 
+    @pytest.mark.parametrize("store", ["set_entry", "load_state"])
+    def test_caller_edits_after_storing_change_nothing(self, store):
+        g = build_graph("n").init_random(1)
+        x = random_tensor(np.random.default_rng(2), 1, 3, 64, 64)
+        before = g.forward(x)
+        g = build_graph("n").init_random(1)
+        weight = g.blocks[0].spec.weight.copy()
+        if store == "set_entry":
+            g.blocks[0].set_entry("weight", weight)
+        else:
+            g.load_state([(name, weight if name == "layer0.weight" else arr)
+                          for name, arr in g.state_entries()])
+        weight[...] = 0.0
+        for t1, t2 in zip(before, g.forward(x)):
+            assert np.array_equal(t1.data, t2.data)
+
 
 class TestLeafNames:
     @pytest.mark.parametrize("variant", ["n", "s"])
@@ -512,6 +577,10 @@ class TestDetectHead:
     def test_head_channel_arithmetic(self):
         head = DetectHead([64, 128, 256], num_classes=80, reg_max=16)
         assert head.out_channels == 144
+
+    def test_three_scales_required(self):
+        with pytest.raises(ValueError, match="^head expects three input scales, got 2$"):
+            DetectHead([64, 128], num_classes=80, reg_max=16)
 
     def test_head_param_count_matches_hand_formula(self):
         # Variant-n head: box branch width 64, class branch width 80.

@@ -1,5 +1,6 @@
 """Byte-exact file formats: PPM, weights container, annotations, detections."""
 import json
+import re
 import struct
 
 import numpy as np
@@ -67,6 +68,12 @@ class TestPPM:
         with pytest.raises(FormatError, match="maxval"):
             read_ppm(b"P6\n1 1\n65535\n\x00\x00\x00")
 
+    @pytest.mark.parametrize("dims", [b"0 1", b"2 -1"])
+    def test_non_positive_dimensions(self, dims):
+        w, h = dims.decode().split()
+        with pytest.raises(FormatError, match=f"^ppm: non-positive dimensions {w}x{h}$"):
+            read_ppm(b"P6\n" + dims + b"\n255\n")
+
     def test_truncated_pixels(self):
         with pytest.raises(FormatError, match="truncated"):
             read_ppm(b"P6\n2 2\n255\n\x00\x00\x00")
@@ -125,6 +132,12 @@ class TestWeightsContainer:
         e = ("dup", np.zeros(1, dtype=np.float32))
         with pytest.raises(FormatError, match="duplicate"):
             write_weights([e, e])
+
+    def test_overlong_name_rejected_on_write(self):
+        name = "é" * 40000  # 80000 bytes of UTF-8, past the u16 length field
+        message = re.escape(f"entry name too long: {name[:40]!r}...")
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            write_weights([(name, np.zeros(1, dtype=np.float32))])
 
     def test_cut_mid_payload_names_entry(self):
         data = write_weights([("layer0.weight", np.ones(10, dtype=np.float32))])
@@ -259,6 +272,13 @@ class TestAnnotations:
         doc = json.loads(MINIMAL_ANNS)
         doc["annotations"].append(dict(doc["annotations"][0]))
         with pytest.raises(FormatError, match="duplicate annotation id"):
+            read_annotations(json.dumps(doc))
+
+    @pytest.mark.parametrize("section, what", [("images", "image"), ("categories", "category")])
+    def test_duplicate_image_or_category_id(self, section, what):
+        doc = json.loads(MINIMAL_ANNS)
+        doc[section].append(dict(doc[section][0]))
+        with pytest.raises(FormatError, match=f"^annotations: duplicate {what} id$"):
             read_annotations(json.dumps(doc))
 
     def test_impossible_image_or_box_rejected(self):

@@ -144,6 +144,15 @@ class TestMatching:
         with pytest.raises(ValueError, match="invalid box"):
             match_detections(dets, [gt(0, 1, B)], 0.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score_or_threshold_raises(self, bad):
+        # Unchecked, a NaN score ranks anywhere and an infinite one first.
+        dets = [det(0, 1, 0.9, B), det(0, 1, bad, B)]
+        with pytest.raises(ValueError, match=f"^detection 1 has a non-finite score {bad}$"):
+            match_detections(dets, [gt(0, 1, B)], 0.5)
+        with pytest.raises(ValueError, match=f"^IoU threshold {bad} is not finite$"):
+            match_detections(dets[:1], [gt(0, 1, B)], bad)
+
     def test_tp_plus_fn_equals_gts(self):
         rng = np.random.default_rng(0)
         dets, gts = [], []
@@ -334,6 +343,27 @@ class TestSweepAgainstReference:
             if pairs:
                 assert calls  # the module-level iou is the one in use
 
+    def test_operating_point_is_a_cut_of_the_half_ledger(self):
+        # The detections scoring at least the conf are a prefix of the
+        # ranking, and the greedy rule decides each one from higher-ranked
+        # ones only, so P/R/F1 of the thresholded match equal those of the
+        # full IoU-0.5 ledger cut after its last such detection.
+        cases = [_tie_heavy_case(np.random.default_rng(200 + seed), images=3, classes=2,
+                                 n_gt=20, n_det=60) for seed in range(40)]
+        rng = np.random.default_rng(300)
+        cases.append(_random_eval_case(rng, images=40, classes=10, n_gt=280, n_det=2000))
+        for dets, gts in cases:
+            ledger = metrics._match_sweep(dets, gts, [0.5])[0]
+            for conf in (0.0, 0.25, 0.3, 0.5, 0.75, 1.0):
+                working = [d for d in dets if d[2] >= conf]
+                kept = {cid: sum(d[1] == cid for d in working) for cid in ledger}
+                tp = sum(int(m.is_tp[: kept[cid]].sum()) for cid, m in ledger.items())
+                want = precision_recall_f1(tp, len(working) - tp, len(gts) - tp)
+                at_conf = match_detections(working, gts, 0.5).values()
+                got = precision_recall_f1(sum(m.tp for m in at_conf), sum(m.fp for m in at_conf),
+                                          sum(m.fn for m in at_conf))
+                assert got == want
+
 
 FIXTURE_DETS = [
     det(0, 0, 0.95, (10, 10, 30, 30)),
@@ -383,6 +413,16 @@ class TestMeanAP:
     def test_no_evaluable_class(self):
         with pytest.raises(ValueError, match="no class with ground truths"):
             evaluate([det(0, 0, 0.9, B)], [])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score_or_operating_conf_raises(self, bad):
+        # Unchecked, a NaN score gives mAP@0.5 1.0 beside P/R/F1 0/0/0, and
+        # a NaN operating_conf an empty operating point.
+        with pytest.raises(ValueError, match=f"^detection 0 has a non-finite score {bad}$"):
+            evaluate([det(1, 0, bad, (0, 0, 2, 2))], [gt(1, 0, (0, 0, 2, 2))])
+        with pytest.raises(ValueError, match=f"^operating_conf {bad} is not finite$"):
+            evaluate([det(1, 0, 0.9, (0, 0, 2, 2))], [gt(1, 0, (0, 0, 2, 2))],
+                     operating_conf=bad)
 
     def test_fixture_matches_brute_force_oracle(self):
         report = evaluate(FIXTURE_DETS, FIXTURE_GTS)

@@ -1,4 +1,6 @@
 """Letterbox, head decoding, NMS, and inverse coordinate mapping."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,12 @@ class TestLetterbox:
         assert meta.scale == 1.0
         assert (meta.pad_left, meta.pad_top) == (160, 0)
         assert np.all(boxed.data[:, :, :, :160] == np.float32(PAD_VALUE))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 4), (1, 1, 4, 4)])
+    def test_batch_or_channels_refused(self, shape):
+        message = re.escape(f"letterbox expects a 1x3xHxW image, got {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            letterbox(Tensor(np.zeros(shape)), 32)
 
     def test_equals_2d_fancy_index_reference(self):
         rng = np.random.default_rng(12)
@@ -125,6 +133,14 @@ class TestDecodeHead:
         t = Tensor(np.zeros((1, 100, 2, 2)))
         with pytest.raises(ValueError, match="channels"):
             decode_head([t], [8], 16, 80, 0.25)
+
+    def test_head_count_and_batch_refused(self):
+        t = make_head_tensor(16, 2, 2, 2)
+        with pytest.raises(ValueError, match="^got 1 head tensors for 2 strides$"):
+            decode_head([t], [8, 16], 16, 2, 0.25)
+        pair = Tensor(np.concatenate([t.data, t.data]))
+        with pytest.raises(ValueError, match="^decode_head handles batch size 1$"):
+            decode_head([pair], [8], 16, 2, 0.25)
 
     def test_candidate_count_bounded_by_cells(self):
         rng = np.random.default_rng(0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_tensor
 from oracle_helpers import (
@@ -99,6 +100,15 @@ class TestConv2d:
             assert ConvSpec(2, 2, k).padding == k // 2
         with pytest.raises(ValueError, match="groups"):
             ConvSpec(3, 4, 1, groups=2)
+
+    def test_spec_refuses_bad_groups_and_parameter_shapes(self):
+        with pytest.raises(ValueError, match="^groups must be positive$"):
+            ConvSpec(2, 2, 1, groups=0)
+        with pytest.raises(ValueError, match=r"^weight shape \(2, 1, 1, 1\) does not match "
+                                             r"spec \(2, 2, 1, 1\)$"):
+            ConvSpec(2, 2, 1, weight=np.zeros((2, 1, 1, 1)))
+        with pytest.raises(ValueError, match=r"^bias shape \(3,\) does not match \(2,\)$"):
+            ConvSpec(2, 2, 1, bias=np.zeros(3))
 
     @staticmethod
     def _check_against_direct(rng, n, c_in, c_out, groups, k, s, h, w):
@@ -273,6 +283,12 @@ class TestFoldBatchnorm:
         with pytest.raises(ValueError, match="epsilon"):
             BatchNormParams.identity(2, eps=0.0)
 
+    @pytest.mark.parametrize("gamma", [np.ones(3), np.ones((2, 1))])
+    def test_bn_shapes_refused(self, gamma):
+        msg = "^batch-norm parameters must be 1-D arrays of equal length$"
+        with pytest.raises(ValueError, match=msg):
+            BatchNormParams(gamma, np.zeros(2), np.zeros(2), np.ones(2))
+
 
 class TestActivations:
     def test_silu_values(self):
@@ -355,6 +371,18 @@ class TestActivations:
         assert np.isnan(s[[0, 2]]).all() and s[1] == 0.5
         assert np.isnan(z[[0, 2]]).all() and z[1] == 0.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float32, st.integers(1, 64), elements=st.floats(-200, 200, width=32)))
+    def test_silu_is_one_float32_division(self, values):
+        # x / (1 + exp(-x)) rounded once, bit for bit, limits included; the
+        # reciprocal-then-product form rounds twice and misses by an ulp.
+        x = np.concatenate([values, np.float32([1e9, -1e9, np.inf, -np.inf, np.nan])])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = x / (1 + np.exp(-x))
+            got = silu(Tensor(x.reshape(1, 1, 1, -1))).data.ravel()
+        assert got.dtype == want.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
 
 class TestMaxpool:
     def test_hand_max(self):
@@ -381,6 +409,16 @@ class TestMaxpool:
     def test_nonpositive_output(self):
         with pytest.raises(ValueError, match="output"):
             maxpool2d(Tensor(np.zeros((1, 1, 2, 2))), 3, 1, 0)
+
+    @pytest.mark.parametrize("k, stride, padding, message", [
+        (0, 1, 0, r"^pool kernel must be >= 1$"),
+        (3, 0, 1, r"^pool stride must be >= 1$"),
+        (3, 1, 2, r"^pool padding must be in \[0, 1\] for kernel 3$"),
+        (3, 1, -1, r"^pool padding must be in \[0, 1\] for kernel 3$"),
+    ])
+    def test_pool_geometry_refused(self, k, stride, padding, message):
+        with pytest.raises(ValueError, match=message):
+            maxpool2d(Tensor(np.zeros((1, 1, 4, 4))), k, stride, padding)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -458,6 +496,12 @@ class TestUpsampleConcat:
         with pytest.raises(ValueError, match=r"split sizes \[-1, 5\] include a negative"):
             split_channels(x, [-1, 5])
         assert [t.c for t in split_channels(x, [0, 4, 0])] == [0, 4, 0]
+
+    def test_empty_concat_and_short_split_refused(self):
+        with pytest.raises(ValueError, match="^concat_channels needs at least one tensor$"):
+            concat_channels([])
+        with pytest.raises(ValueError, match=r"^split sizes \[1, 2\] do not sum to 4 channels$"):
+            split_channels(Tensor(np.zeros((1, 4, 2, 2))), [1, 2])
 
 
 class TestSoftmax:
