@@ -11,7 +11,7 @@ initialization and weight files goes through ``iter_leaf_blocks``.
 YOLOv11 fixes their internals, so these are constants, not arguments: 3x3
 residual bottlenecks, a C3K of two bottlenecks at half its width, k=5 SPPF
 pools, attention keys half a head wide, and C3K, SPPF and C2PSA as wide out
-as in. Every ConvBlock.create leaf has batch-norm and no bias.
+as in. Every leaf of these blocks has batch-norm and no bias.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .tensor import (
     ConvSpec,
     Tensor,
     _check_variance,
+    _placeholder,
     concat_channels,
     conv2d,
     conv_output_dim,
@@ -55,7 +56,13 @@ _SPPF_POOL = 5  # kernel of each of SPPF's three chained max-pools
 
 
 class ConvBlock:
-    """Convolution, optional batch-norm, optional SiLU; the universal leaf.
+    """Convolution, batch-norm and SiLU; the universal leaf.
+
+    `ConvBlock(c_in, c_out, k, stride, groups)` is Conv-BN-SiLU with no conv
+    bias; `act="none"` drops the SiLU, and `bias=True` builds a head output
+    conv: a conv bias, no batch-norm and no activation. Its parameters start
+    as read-only placeholders (zero weight, bias, beta and mean; unit gamma
+    and var) that only `set_entry` and `ModelGraph.load_state` replace.
 
     `spec` and `bn` are the parameters of record: `entries`, `set_entry` and
     the FLOP model read them. `forward` runs one convolution with the
@@ -63,33 +70,22 @@ class ConvBlock:
     the first call and cached; a leaf without batch-norm runs `spec` itself.
     That first call also refuses a non-finite folded weight or bias. Fold and
     entry errors name the leaf by `name`: the weight-file path (e.g.
-    `layer23.box0.2`) that the graph building it sets, or "conv". Its
-    parameters are read-only; `set_entry` replaces one and drops the fold.
+    `layer23.box0.2`) that the graph building it sets, or "conv".
     """
 
     name = "conv"
 
-    def __init__(self, spec: ConvSpec, bn: BatchNormParams | None, act: str = "silu") -> None:
+    def __init__(
+        self, c_in: int, c_out: int, k: int = 1, stride: int = 1, groups: int = 1,
+        act: str = "silu", bias: bool = False,
+    ) -> None:
         if act not in ("silu", "none"):
             raise ValueError(f"unsupported activation {act!r}")
-        if bn is not None and bn.channels != spec.out_channels:
-            raise ValueError(
-                f"batch-norm has {bn.channels} channels, conv outputs {spec.out_channels}"
-            )
-        self.spec = spec
-        self.bn = bn
-        self.act = act
+        self.spec = ConvSpec(c_in, c_out, k, stride, groups,
+                             bias=_placeholder((c_out,), 0.0) if bias else None)
+        self.bn = None if bias else BatchNormParams.identity(c_out)
+        self.act = "none" if bias else act
         self._folded: ConvSpec | None = None
-
-    @classmethod
-    def create(
-        cls, c_in: int, c_out: int, k: int = 1, stride: int = 1, groups: int = 1, act: str = "silu"
-    ) -> "ConvBlock":
-        """Zero-initialized conv with identity batch-norm and no bias. Its
-        parameters are read-only placeholders that share one constant;
-        init_random or load_state replaces them."""
-        spec = ConvSpec(in_channels=c_in, out_channels=c_out, kernel=k, stride=stride, groups=groups)
-        return cls(spec, BatchNormParams.identity(c_out), act)
 
     @property
     def out_channels(self) -> int:
@@ -136,23 +132,30 @@ class ConvBlock:
 
     def _check_entry(self, name: str, value: np.ndarray) -> np.ndarray:
         """`value` as the read-only float32 array `set_entry(name, value)` stores,
-        copied if the caller can still write to it; sets nothing. Raises KeyError
+        copied unless nothing else can write its data; sets nothing. Raises KeyError
         for an unknown name, and ValueError naming the entry `f"{self.name}.{name}"`
         for a shape other than the current one or a negative or non-finite variance."""
         current = getattr(self._holder(name), name, None)
         if current is None:
             raise KeyError(name)
         arr = np.asarray(value, dtype=np.float32)
-        label = f"{self.name}.{name}"
         if arr.shape != current.shape:
             raise ValueError(
-                f"entry {label!r}: shape {tuple(arr.shape)} does not match "
-                f"model shape {tuple(current.shape)}"
+                f"entry {self.name + '.' + name!r}: shape {tuple(arr.shape)} does not "
+                f"match model shape {tuple(current.shape)}"
             )
         if name == "var":
-            _check_variance(arr, f"entry {label!r}: ")
-        if arr.flags.writeable:
-            arr = np.array(arr, copy=arr is value or arr.base is not None)
+            _check_variance(arr, f"entry {self.name + '.var'!r}: ")
+        # Kept as is only if nothing else can write its data: it views
+        # immutable bytes (read_weights views and placeholders, which numpy
+        # keeps read-only; tested first, as every weights-file entry is one),
+        # or it is read-only and owns its data (init_random's draws).
+        base = arr.base
+        while type(base) is np.ndarray:
+            base = base.base
+        if type(base) is not bytes and (arr.base is not None or arr.flags.writeable):
+            if arr is value or arr.base is not None:  # the caller may still write it
+                arr = arr.copy()
             arr.flags.writeable = False
         return arr
 
@@ -222,8 +225,8 @@ class Bottleneck(_Composite):
 
     def __init__(self, c: int, e: float = 0.5) -> None:
         c_hidden = int(c * e)
-        self.cv1 = ConvBlock.create(c, c_hidden, k=3)
-        self.cv2 = ConvBlock.create(c_hidden, c, k=3)
+        self.cv1 = ConvBlock(c, c_hidden, k=3)
+        self.cv2 = ConvBlock(c_hidden, c, k=3)
 
     def forward(self, x: Tensor) -> Tensor:
         return x + self.cv2(self.cv1(x))
@@ -252,10 +255,10 @@ class C3K(_Composite):
 
     def __init__(self, c: int) -> None:
         c_hidden = c // 2
-        self.cv1 = ConvBlock.create(c, c_hidden, k=1)
+        self.cv1 = ConvBlock(c, c_hidden, k=1)
         self.units = [Bottleneck(c_hidden, e=1.0) for _ in range(2)]
-        self.cv2 = ConvBlock.create(c, c_hidden, k=1)  # entry bypass
-        self.cv3 = ConvBlock.create(2 * c_hidden, c, k=1)
+        self.cv2 = ConvBlock(c, c_hidden, k=1)  # entry bypass
+        self.cv3 = ConvBlock(2 * c_hidden, c, k=1)
 
     def forward(self, x: Tensor) -> Tensor:
         y = self.cv1(x)
@@ -271,10 +274,10 @@ class C3K2(_CSP):
         self.c_hidden = int(c2 * e)
         if self.c_hidden < 1:
             raise ValueError("hidden channel count must be positive")
-        self.cv1 = ConvBlock.create(c1, 2 * self.c_hidden, k=1)
+        self.cv1 = ConvBlock(c1, 2 * self.c_hidden, k=1)
         unit = C3K if c3k else Bottleneck
         self.units = [unit(self.c_hidden) for _ in range(n)]
-        self.cv2 = ConvBlock.create((2 + n) * self.c_hidden, c2, k=1)
+        self.cv2 = ConvBlock((2 + n) * self.c_hidden, c2, k=1)
 
 
 class SPPF(_Composite):
@@ -287,8 +290,8 @@ class SPPF(_Composite):
         if c % 2:
             raise ValueError(f"SPPF input channels must be even, got {c}")
         c_hidden = c // 2
-        self.cv1 = ConvBlock.create(c, c_hidden, k=1)
-        self.cv2 = ConvBlock.create(4 * c_hidden, c, k=1)
+        self.cv1 = ConvBlock(c, c_hidden, k=1)
+        self.cv2 = ConvBlock(4 * c_hidden, c, k=1)
 
     def forward(self, x: Tensor) -> Tensor:
         ys = [self.cv1(x)]
@@ -312,9 +315,9 @@ class AttentionLayer(_Composite):
         self.key_dim = self.head_dim // 2
         self.scale = self.key_dim**-0.5
         qk = self.key_dim * num_heads
-        self.qkv = ConvBlock.create(dim, dim + 2 * qk, k=1, act="none")
-        self.pe = ConvBlock.create(dim, dim, k=3, groups=dim, act="none")
-        self.proj = ConvBlock.create(dim, dim, k=1, act="none")
+        self.qkv = ConvBlock(dim, dim + 2 * qk, k=1, act="none")
+        self.pe = ConvBlock(dim, dim, k=3, groups=dim, act="none")
+        self.proj = ConvBlock(dim, dim, k=1, act="none")
 
     def _split_qkv(self, x: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         b, hw = x.n, x.h * x.w
@@ -346,8 +349,8 @@ class PSABlock(_Composite):
 
     def __init__(self, c: int, num_heads: int) -> None:
         self.attn = AttentionLayer(c, num_heads)
-        self.ffn1 = ConvBlock.create(c, 2 * c, k=1)
-        self.ffn2 = ConvBlock.create(2 * c, c, k=1, act="none")
+        self.ffn1 = ConvBlock(c, 2 * c, k=1)
+        self.ffn2 = ConvBlock(2 * c, c, k=1, act="none")
 
     def forward(self, x: Tensor) -> Tensor:
         y = x + self.attn(x)
@@ -365,10 +368,10 @@ class C2PSA(_Composite):
         self.c_hidden = c // 2
         if self.c_hidden < 1:
             raise ValueError("hidden channel count must be positive")
-        self.cv1 = ConvBlock.create(c, 2 * self.c_hidden, k=1)
+        self.cv1 = ConvBlock(c, 2 * self.c_hidden, k=1)
         heads = max(1, self.c_hidden // 64)
         self.units = [PSABlock(self.c_hidden, heads) for _ in range(n)]
-        self.cv2 = ConvBlock.create(2 * self.c_hidden, c, k=1)
+        self.cv2 = ConvBlock(2 * self.c_hidden, c, k=1)
 
     def forward(self, x: Tensor) -> Tensor:
         a, b = split_channels(self.cv1(x), [self.c_hidden, self.c_hidden])

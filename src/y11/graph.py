@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .blocks import C2PSA, C3K2, SPPF, ConvBlock, _Composite, iter_leaf_blocks
-from .tensor import ConvSpec, Tensor, _placeholder, concat_channels, upsample_nearest2x
+from .tensor import Tensor, _placeholder, concat_channels, upsample_nearest2x
 
 __all__ = [
     "VariantSpec",
@@ -103,12 +103,6 @@ def scale_units(n: int, variant: VariantSpec) -> int:
     return max(1, math.ceil(n * variant.depth_multiple))
 
 
-def _output_conv(c_in: int, c_out: int) -> ConvBlock:
-    """A head branch's last 1x1 conv: zero bias, no batch-norm, no activation."""
-    spec = ConvSpec(c_in, c_out, 1, bias=_placeholder((c_out,), 0.0))
-    return ConvBlock(spec, None, act="none")
-
-
 class _Branch(_Composite):
     """One scale's box or class branch: leaves run in order, named 0, 1, ..."""
 
@@ -139,16 +133,16 @@ class DetectHead(_Composite):
         self.branches = [
             (
                 _Branch(
-                    ConvBlock.create(c, box_c, k=3),
-                    ConvBlock.create(box_c, box_c, k=3),
-                    _output_conv(box_c, 4 * reg_max),
+                    ConvBlock(c, box_c, k=3),
+                    ConvBlock(box_c, box_c, k=3),
+                    ConvBlock(box_c, 4 * reg_max, bias=True),
                 ),
                 _Branch(
-                    ConvBlock.create(c, c, k=3, groups=c),
-                    ConvBlock.create(c, cls_c, k=1),
-                    ConvBlock.create(cls_c, cls_c, k=3, groups=cls_c),
-                    ConvBlock.create(cls_c, cls_c, k=1),
-                    _output_conv(cls_c, num_classes),
+                    ConvBlock(c, c, k=3, groups=c),
+                    ConvBlock(c, cls_c, k=1),
+                    ConvBlock(cls_c, cls_c, k=3, groups=cls_c),
+                    ConvBlock(cls_c, cls_c, k=1),
+                    ConvBlock(cls_c, num_classes, bias=True),
                 ),
             )
             for c in chs
@@ -226,7 +220,7 @@ class ModelGraph:
             c_out = scale_channels(args["c_out"], scaling) if "c_out" in args else None
             block: object | None = None
             if kind == "ConvBlock":
-                block = ConvBlock.create(c_in, c_out, k=3, stride=2)
+                block = ConvBlock(c_in, c_out, k=3, stride=2)
             elif kind == "C3K2":
                 c3k = args["c3k"] or variant in _DEEP_C3K_VARIANTS
                 block = C3K2(c_in, c_out, n=units, c3k=c3k, e=args["e"])

@@ -153,8 +153,9 @@ def decode_head(
             np.maximum(top, logits[..., b : b + 1], out=top)
         e = np.exp(logits - top)
         probs = e / e.sum(axis=-1, keepdims=True)
-        # a per-row sum rounds the same however many cells pass conf; a BLAS product does not
-        dists = (probs * bins).sum(-1) * np.float32(stride)  # (4, M): left, top, right, bottom
+        # (4, M) left, top, right, bottom; einsum's own loop sums each row alike
+        # however many cells pass conf, a BLAS product (optimize=True) does not
+        dists = np.einsum("...k,k->...", probs, bins) * np.float32(stride)
         cx = (cell % tensor.w + 0.5) * stride
         cy = (cell // tensor.w + 0.5) * stride
         boxes = np.stack([cx - dists[0], cy - dists[1], cx + dists[2], cy + dists[3]], axis=1)

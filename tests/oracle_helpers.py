@@ -281,7 +281,7 @@ def decode_head_reference(raw, strides, reg_max, num_classes, conf_thresh):
         scores = sigmoid(cls_logits[class_ids, idx])
         dist_logits = flat[: 4 * reg_max, idx].reshape(4, reg_max, idx.size)
         probs = softmax_reference(dist_logits.transpose(0, 2, 1))
-        dists = (probs * np.arange(reg_max, dtype=np.float32)).sum(-1) * stride
+        dists = np.einsum("...k,k->...", probs, np.arange(reg_max, dtype=np.float32)) * stride
         cx = (idx % w + 0.5) * stride
         cy = (idx // w + 0.5) * stride
         boxes = zip((cx - dists[0]).tolist(), (cy - dists[1]).tolist(),

@@ -19,8 +19,6 @@ from y11.blocks import (
 )
 from y11.graph import DetectHead, build_graph
 from y11.tensor import (
-    BatchNormParams,
-    ConvSpec,
     Tensor,
     concat_channels,
     conv2d,
@@ -65,11 +63,14 @@ def zero_weights(block):
 
 
 def identity_convblock(c: int, k: int = 1) -> ConvBlock:
+    block = ConvBlock(c, c, k, act="none")
     w = np.zeros((c, c, k, k), dtype=np.float32)
     for i in range(c):
         w[i, i, k // 2, k // 2] = 1.0
-    spec = ConvSpec(c, c, k, weight=w)
-    return ConvBlock(spec, BatchNormParams.identity(c, eps=1e-12), act="none")
+    block.set_entry("weight", w)
+    # gamma = sqrt(var + eps) in float32, so the fold's scale is exactly 1
+    block.set_entry("gamma", np.sqrt(np.ones(c, np.float32) + np.float32(block.bn.eps)))
+    return block
 
 
 def manual_conv_block(leaf: ConvBlock, x: Tensor) -> Tensor:
@@ -92,24 +93,24 @@ class TestConvBlock:
         assert np.array_equal(identity_convblock(3)(x).data, x.data)
 
     def test_zero_weights_silu(self):
-        block = zero_weights(ConvBlock.create(2, 4, k=3))
+        block = zero_weights(ConvBlock(2, 4, k=3))
         x = random_tensor(np.random.default_rng(1), 1, 2, 5, 5)
         assert np.all(block(x).data == 0.0)
 
     def test_against_unfused_composition(self):
-        block = randomize(ConvBlock.create(3, 8, k=3, stride=2), 2)
+        block = randomize(ConvBlock(3, 8, k=3, stride=2), 2)
         x = random_tensor(np.random.default_rng(3), 2, 3, 9, 9)
         got = block(x).data
         want = manual_conv_block(block, x).data
         assert np.max(np.abs(got - want)) < 1e-4
 
     def test_set_entry_drops_cached_fold(self):
-        block = randomize(ConvBlock.create(3, 8, k=3), 4)
+        block = randomize(ConvBlock(3, 8, k=3), 4)
         x = random_tensor(np.random.default_rng(5), 1, 3, 6, 6)
         before = block(x).data
         gamma = np.linspace(0.2, 2.0, 8, dtype=np.float32)
         block.set_entry("gamma", gamma)
-        fresh = ConvBlock.create(3, 8, k=3)
+        fresh = ConvBlock(3, 8, k=3)
         for name, arr in block.entries():
             fresh.set_entry(name, arr)
         after = block(x).data
@@ -117,12 +118,12 @@ class TestConvBlock:
         assert np.array_equal(after, fresh(x).data)
 
     def test_output_channels_and_stride(self):
-        block = ConvBlock.create(3, 8, k=3, stride=2)
+        block = ConvBlock(3, 8, k=3, stride=2)
         x = Tensor(np.zeros((1, 3, 8, 8)))
         assert block(x).shape == (1, 8, 4, 4)
 
     def test_lone_leaf_names_itself_conv(self):
-        block = randomize(ConvBlock.create(3, 4, k=3), 6)
+        block = randomize(ConvBlock(3, 4, k=3), 6)
         weight = block.spec.weight.copy()
         weight[2, 1, 0, 0] = np.nan
         block.set_entry("weight", weight)
@@ -132,23 +133,20 @@ class TestConvBlock:
         with pytest.raises(ValueError, match=r"^entry 'conv\.var': running variance"):
             block.set_entry("var", np.full(4, -1.0, dtype=np.float32))
 
-    def test_construction_refuses_activation_and_bn_width(self):
-        spec = ConvSpec(3, 4, 1)
+    def test_construction_refuses_activation(self):
         with pytest.raises(ValueError, match="^unsupported activation 'relu'$"):
-            ConvBlock(spec, None, act="relu")
-        with pytest.raises(ValueError, match="^batch-norm has 3 channels, conv outputs 4$"):
-            ConvBlock(spec, BatchNormParams.identity(3))
+            ConvBlock(3, 4, act="relu")
 
     def test_stored_entry_shares_no_caller_buffer(self):
-        block = ConvBlock.create(3, 4)
+        block = ConvBlock(3, 4)
         held = array.array("f", [0.5] * 4)  # numpy views its buffer, copying nothing
         block.set_entry("gamma", held)
         held[0] = 9.0
         assert np.all(block.bn.gamma == 0.5) and not block.bn.gamma.flags.writeable
 
-    @pytest.mark.parametrize("name", ["scale", "bias"])  # a create leaf has no bias
+    @pytest.mark.parametrize("name", ["scale", "bias"])  # a batch-norm leaf has no bias
     def test_unknown_entry_is_key_error(self, name):
-        block = ConvBlock.create(3, 4)
+        block = ConvBlock(3, 4)
         with pytest.raises(KeyError, match=f"^'{name}'$"):
             block.set_entry(name, np.zeros(4, dtype=np.float32))
 

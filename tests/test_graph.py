@@ -23,8 +23,8 @@ from y11.graph import (
     scale_channels,
     scale_units,
 )
-from y11.io_formats import write_weights
-from y11.tensor import ConvSpec, Tensor
+from y11.io_formats import read_weights, write_weights
+from y11.tensor import Tensor
 
 
 def leaf_param_count(block) -> int:
@@ -238,12 +238,12 @@ class TestForward:
 
 class TestCountParams:
     def test_single_conv_block_formula(self):
-        block = ConvBlock.create(3, 16, k=3)
+        block = ConvBlock(3, 16, k=3)
         assert leaf_param_count(block) == 3 * 16 * 9 + 2 * 16 == 464
 
     def test_toy_graph_hand_count(self):
         # Independent closed-form accounting for a 3-block chain.
-        stem = ConvBlock.create(3, 16, k=3, stride=2)
+        stem = ConvBlock(3, 16, k=3, stride=2)
         csp = C3K2(16, 32, n=1, c3k=False, e=0.5)
         sppf = SPPF(32)
 
@@ -275,10 +275,10 @@ class TestCountParams:
 
 class TestCountFlops:
     def test_bare_conv_closed_form(self):
-        # One 3x3 conv, 1 channel in/out, 4x4 output, no bias, no bn:
-        # 2 * 16 * 9 = 288 FLOPs.
-        block = ConvBlock(spec=ConvSpec(1, 1, 3), bn=None, act="none")
-        assert block.flops(4, 4) == 288
+        # One 3x3 conv, 1 channel in/out, 4x4 output, with bias, no bn and no
+        # activation: 2 * 16 * 9 = 288 FLOPs, plus 16 bias adds.
+        block = ConvBlock(1, 1, 3, bias=True)
+        assert block.flops(4, 4) == 288 + 16
 
     def test_variant_budgets(self):
         n = build_graph("n").count_flops(640)
@@ -424,6 +424,15 @@ class TestInitRandom:
 
 
 class TestLoadState:
+    def test_weights_file_entries_are_loaded_uncopied(self):
+        # read_weights views are read-only and view immutable bytes, so
+        # load_state stores them as they are and set-up copies no weights.
+        blob = write_weights(build_graph("n").init_random(0).state_entries())
+        g = build_graph("n").load_state(read_weights(blob))
+        buffer = np.frombuffer(blob, dtype=np.uint8)
+        for name, arr in g.state_entries():
+            assert np.shares_memory(arr, buffer), name
+
     def test_roundtrip_preserves_forward_bitwise(self):
         g = build_graph("n", num_classes=4).init_random(7)
         rng = np.random.default_rng(8)
@@ -493,17 +502,23 @@ class TestLoadState:
         with pytest.raises(ValueError, match="duplicate"):
             build_graph("n").load_state(entries)
 
-    @pytest.mark.parametrize("store", ["set_entry", "load_state"])
-    def test_caller_edits_after_storing_change_nothing(self, store):
+    @pytest.mark.parametrize("store, read_only_view", [
+        ("set_entry", False), ("load_state", False), ("set_entry", True), ("load_state", True),
+    ], ids=["set_entry", "load_state", "set_entry-read-only-view", "load_state-read-only-view"])
+    def test_caller_edits_after_storing_change_nothing(self, store, read_only_view):
         g = build_graph("n").init_random(1)
         x = random_tensor(np.random.default_rng(2), 1, 3, 64, 64)
         before = g.forward(x)
         g = build_graph("n").init_random(1)
         weight = g.blocks[0].spec.weight.copy()
+        passed = weight
+        if read_only_view:  # read-only itself, but the caller can still write `weight`
+            passed = weight.view()
+            passed.flags.writeable = False
         if store == "set_entry":
-            g.blocks[0].set_entry("weight", weight)
+            g.blocks[0].set_entry("weight", passed)
         else:
-            g.load_state([(name, weight if name == "layer0.weight" else arr)
+            g.load_state([(name, passed if name == "layer0.weight" else arr)
                           for name, arr in g.state_entries()])
         weight[...] = 0.0
         for t1, t2 in zip(before, g.forward(x)):
