@@ -131,10 +131,10 @@ class ConvBlock:
         return self.bn if name in ("gamma", "beta", "mean", "var") else None
 
     def _check_entry(self, name: str, value: np.ndarray) -> np.ndarray:
-        """`value` as the read-only float32 array `set_entry(name, value)` stores,
-        copied unless nothing else can write its data; sets nothing. Raises KeyError
-        for an unknown name, and ValueError naming the entry `f"{self.name}.{name}"`
-        for a shape other than the current one or a negative or non-finite variance."""
+        """`value` as `set_entry(name, value)` stores it: a float32 view of immutable
+        bytes, `value` itself if it is one, else a view of its own copy; sets nothing.
+        Raises KeyError for an unknown name, and ValueError naming the entry
+        `f"{self.name}.{name}"` for another shape or a negative or non-finite variance."""
         current = getattr(self._holder(name), name, None)
         if current is None:
             raise KeyError(name)
@@ -146,17 +146,11 @@ class ConvBlock:
             )
         if name == "var":
             _check_variance(arr, f"entry {self.name + '.var'!r}: ")
-        # Kept as is only if nothing else can write its data: it views
-        # immutable bytes (read_weights views and placeholders, which numpy
-        # keeps read-only; tested first, as every weights-file entry is one),
-        # or it is read-only and owns its data (init_random's draws).
         base = arr.base
         while type(base) is np.ndarray:
             base = base.base
-        if type(base) is not bytes and (arr.base is not None or arr.flags.writeable):
-            if arr is value or arr.base is not None:  # the caller may still write it
-                arr = arr.copy()
-            arr.flags.writeable = False
+        if type(base) is not bytes:  # numpy refuses to make a view of bytes writable
+            arr = np.frombuffer(arr.tobytes(), np.float32).reshape(arr.shape)
         return arr
 
     def set_entry(self, name: str, value: np.ndarray) -> None:

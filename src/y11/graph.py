@@ -356,8 +356,8 @@ class ModelGraph:
         for name, _, suffix, arr in self._entries():
             if suffix == "weight":
                 bound = math.sqrt(6.0 / math.prod(arr.shape[1:]))  # fan_in = (c_in/groups)*k*k
-                value = rng.uniform(-bound, bound, arr.shape).astype(np.float32)
-                value.flags.writeable = False  # so load_state keeps it uncopied
+                value = rng.uniform(-bound, bound, arr.shape).astype(np.float32).tobytes()
+                value = np.frombuffer(value, np.float32).reshape(arr.shape)  # kept uncopied
             else:
                 value = _placeholder(arr.shape, 1.0 if suffix in ("gamma", "var") else 0.0)
             state.append((name, value))

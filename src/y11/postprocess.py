@@ -118,9 +118,12 @@ def decode_head(
     index of its distance distribution times the stride, measured outward from
     the cell center (the distribution focal loss decode). Each head is
     decoded on its own; the candidates come out in head order, then cell
-    order. A non-finite head value, which only bad weights or input can
-    produce, raises ValueError naming the head and channel.
+    order. A non-finite conf_thresh raises ValueError, and so does a
+    non-finite head value (only bad weights or input make one), naming the
+    head and channel.
     """
+    if not np.isfinite(conf_thresh):
+        raise ValueError(f"confidence threshold {conf_thresh} is not finite")
     if len(raw) != len(strides):
         raise ValueError(f"got {len(raw)} head tensors for {len(strides)} strides")
     expect_c = 4 * reg_max + num_classes
@@ -206,8 +209,10 @@ def nms(candidates: Candidates | Iterable[Detection], iou_thresh: float) -> list
     box coordinates x1, y1, x2, y2); one is kept iff its IoU with every
     already-kept box of the same class is <= iou_thresh. The kept boxes come
     back as `Detection` records in that order. Takes `Candidates` or any
-    iterable of `Detection`.
+    iterable of `Detection`; iou_thresh must be finite.
     """
+    if not np.isfinite(iou_thresh):
+        raise ValueError(f"IoU threshold {iou_thresh} is not finite")
     cands = Candidates.of(candidates)
     boxes = cands.boxes
     order = _visit_order(cands)

@@ -26,12 +26,18 @@ column checks of `io_formats.read_detections` replaced, building the package's
 `DumpDetection` and `FormatError`, and `iou_reference` is `metrics.iou` with
 the builtin `min` and `max`. `conv2d_three_path_reference` is the pointwise
 matmul, depthwise tap loop and sliding-window im2col that `tensor.conv2d`'s
-one strided view replaced.
+one strided view replaced. `float64_graph_module` is the package itself
+once more, its tensor, blocks and graph sources reloaded with `np.float64`
+for `np.float32`: it checks rounding, not algorithms.
 """
 from __future__ import annotations
 
+import importlib.abc
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -546,3 +552,30 @@ def read_detections_reference(text: str):
             raise FormatError(f"detections: record {k} has a score outside [0, 1]: {item!r}")
         out.append(det)
     return out
+
+
+class _Float64Loader(importlib.abc.FileLoader, importlib.abc.SourceLoader):
+    """Loads a module's source with every `np.float32` read as `np.float64`.
+    It defines no `path_stats`, so it neither reads nor writes bytecode."""
+
+    def get_data(self, path):
+        return super().get_data(path).replace(b"np.float32", b"np.float64")
+
+
+def float64_graph_module():
+    """`y11.graph`, loaded from the package's sources once more as
+    `y11_f64.graph`, with `np.float32` rewritten to `np.float64` throughout:
+    the same algorithms in double precision, a yardstick for the float32
+    engine's rounding. Writes no files; the package's `__path__` is empty, so
+    a module not loaded here fails to import rather than load as float32."""
+    root = Path(importlib.util.find_spec("y11").origin).parent
+    for module in ("__init__", "tensor", "blocks", "graph"):  # in import order
+        name = "y11_f64" if module == "__init__" else f"y11_f64.{module}"
+        if name not in sys.modules:
+            path = str(root / f"{module}.py")
+            spec = importlib.util.spec_from_file_location(
+                name, path, loader=_Float64Loader(name, path),
+                submodule_search_locations=[] if module == "__init__" else None)
+            sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(sys.modules[name])
+    return sys.modules["y11_f64.graph"]

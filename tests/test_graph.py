@@ -2,6 +2,7 @@
 import hashlib
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import random_tensor
 from oracle_helpers import (
     conv_block_forward_unfused,
     count_flops_reference,
+    float64_graph_module,
     forward_reference,
     init_random_reference,
     walk_shapes_reference,
@@ -25,6 +27,16 @@ from y11.graph import (
 )
 from y11.io_formats import read_weights, write_weights
 from y11.tensor import Tensor
+
+
+class ArrayHolder:
+    """An array-like whose `__array__` hands out the array it keeps."""
+
+    def __init__(self, arr: np.ndarray) -> None:
+        self.arr = arr
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.arr
 
 
 def leaf_param_count(block) -> int:
@@ -142,19 +154,38 @@ class TestBuild:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 5.0
 
-    @pytest.mark.parametrize("fill", ["init_random", "load_state"])
+    @pytest.mark.parametrize("fill", ["init_random", "load_state", "read_weights", "set_entry"])
     def test_filled_entries_are_read_only(self, fill):
         # An entry edited in place would leave the cached fold stale: the
-        # next forward would silently run the old weights.
-        g = build_graph("n").init_random(1)
-        if fill == "load_state":
-            copies = [(name, arr.copy()) for name, arr in g.state_entries()]
-            g = build_graph("n").load_state(copies)
+        # next forward would silently run the old weights. Every entry views
+        # immutable bytes, so no one, not even a caller who kept the array it
+        # was stored from, can make it writable again.
+        drawn = build_graph("n").init_random(1).state_entries()
+        g = build_graph("n")
+        if fill == "init_random":
+            g.init_random(1)
+        elif fill == "load_state":
+            g.load_state([(name, arr.copy()) for name, arr in drawn])
+        elif fill == "read_weights":
+            g.load_state(read_weights(write_weights(drawn)))
+        else:
+            arrays = dict(drawn)
+            for path, leaf in g.named_leaf_blocks():
+                for suffix, _ in list(leaf.entries()):
+                    leaf.set_entry(suffix, arrays[f"{path}.{suffix}"].copy())
+        assert [(n, a.tobytes()) for n, a in g.state_entries()] == [
+            (n, a.tobytes()) for n, a in drawn]
         g.forward(Tensor(np.zeros((1, 3, 64, 64))))
         for name, arr in g.state_entries():
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 0.0
+            base = arr.base
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert type(base) is bytes, name
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.flags.writeable = True
 
     def test_filling_a_graph_leaves_fresh_graphs_alone(self):
         a, b = build_graph("n"), build_graph("n")
@@ -234,6 +265,34 @@ class TestForward:
         rng = np.random.default_rng(7)
         outs = g.forward(random_tensor(rng, 1, 3, 96, 96))
         assert all(np.all(np.isfinite(o.data)) for o in outs)
+
+
+class TestFloat64Yardstick:
+    """The heads against the same algorithms in float64 (`float64_graph_module`)
+    loaded with the same state, as max |a - ref| / (1 + |ref|) over the three
+    heads: the float32 rounding error itself, which a kernel may move within
+    the bound. Measured 1.4e-7, 2.1e-7 and 7.3e-6 on this input; each bound
+    is about 4x the largest measured on any input so far (2.3e-7, 9.7e-6)."""
+
+    @pytest.mark.parametrize("weights, size, bound", [
+        ("seed-0", 64, 1e-6), ("seed-0", 320, 1e-6), ("dense-n320", 320, 4e-5),
+    ])
+    def test_heads_within_rounding_of_float64(self, weights, size, bound, monkeypatch):
+        if weights == "seed-0":
+            entries = build_graph("n").init_random(0).state_entries()
+        else:  # the perfbench dense-n320 weights
+            monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+            import gen
+
+            entries = read_weights(gen.model_weights("n"))
+        f64 = float64_graph_module()
+        x = np.random.default_rng(5).random((1, 3, size, size), dtype=np.float32)
+        got = build_graph("n").load_state(entries).forward(Tensor(x))
+        ref = f64.build_graph("n").load_state(entries).forward(f64.Tensor(x))
+        assert all(r.data.dtype == np.float64 for r in ref)
+        err = max(np.max(np.abs(a.data - r.data) / (1 + np.abs(r.data)))
+                  for a, r in zip(got, ref))
+        assert err < bound
 
 
 class TestCountParams:
@@ -502,24 +561,34 @@ class TestLoadState:
         with pytest.raises(ValueError, match="duplicate"):
             build_graph("n").load_state(entries)
 
-    @pytest.mark.parametrize("store, read_only_view", [
-        ("set_entry", False), ("load_state", False), ("set_entry", True), ("load_state", True),
-    ], ids=["set_entry", "load_state", "set_entry-read-only-view", "load_state-read-only-view"])
-    def test_caller_edits_after_storing_change_nothing(self, store, read_only_view):
+    @pytest.mark.parametrize("store, passed_as", [
+        ("set_entry", "array"), ("load_state", "array"),
+        ("set_entry", "read-only-view"), ("load_state", "read-only-view"),
+        ("set_entry", "read-only-array"), ("load_state", "read-only-array"),
+        ("set_entry", "array-holder"), ("load_state", "array-holder"),
+    ], ids=["set_entry", "load_state", "set_entry-read-only-view", "load_state-read-only-view",
+            "set_entry-read-only-array", "load_state-read-only-array",
+            "set_entry-array-holder", "load_state-array-holder"])
+    def test_caller_edits_after_storing_change_nothing(self, store, passed_as):
         g = build_graph("n").init_random(1)
         x = random_tensor(np.random.default_rng(2), 1, 3, 64, 64)
         before = g.forward(x)
         g = build_graph("n").init_random(1)
         weight = g.blocks[0].spec.weight.copy()
         passed = weight
-        if read_only_view:  # read-only itself, but the caller can still write `weight`
+        if passed_as == "read-only-view":  # read-only itself, but the caller can still write `weight`
             passed = weight.view()
             passed.flags.writeable = False
+        elif passed_as == "read-only-array":  # the caller can make its own array writable again
+            weight.flags.writeable = False
+        elif passed_as == "array-holder":  # np.asarray returns the array it keeps, uncopied
+            passed = ArrayHolder(weight)
         if store == "set_entry":
             g.blocks[0].set_entry("weight", passed)
         else:
             g.load_state([(name, passed if name == "layer0.weight" else arr)
                           for name, arr in g.state_entries()])
+        weight.flags.writeable = True
         weight[...] = 0.0
         for t1, t2 in zip(before, g.forward(x)):
             assert np.array_equal(t1.data, t2.data)

@@ -129,6 +129,14 @@ class TestDecodeHead:
         with pytest.raises(ValueError, match=rf"head 1 \(stride 16\).*non-finite.*channel {channel}"):
             decode_head(tensors, [8, 16], 16, 2, 0.25)
 
+    @pytest.mark.parametrize("conf", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_raises(self, conf):
+        # No cell scores above NaN, so it would silently keep nothing.
+        tensors = [Tensor(np.zeros((1, 4 * 16 + 2, s, s))) for s in (4, 2, 1)]
+        assert len(decode_head(tensors, [8, 16, 32], 16, 2, 0.1)) == 21
+        with pytest.raises(ValueError, match=rf"^confidence threshold {conf} is not finite$"):
+            decode_head(tensors, [8, 16, 32], 16, 2, conf)
+
     def test_channel_mismatch(self):
         t = Tensor(np.zeros((1, 100, 2, 2)))
         with pytest.raises(ValueError, match="channels"):
@@ -199,6 +207,15 @@ class TestNMS:
         a = Detection(0, 0.9, (0.0, 0.0, 5.0, 5.0))
         b = Detection(1, 0.9, (0.0, 0.0, 5.0, 5.0))
         assert len(nms([a, b], 0.45)) == 2
+
+    @pytest.mark.parametrize("thresh", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_raises(self, thresh):
+        # No IoU exceeds NaN, so it would silently keep every duplicate.
+        a = Detection(0, 0.9, (0.0, 0.0, 10.0, 10.0))
+        b = Detection(0, 0.8, (0.0, 0.0, 10.0, 10.0))
+        assert nms([a, b], 0.45) == [a]
+        with pytest.raises(ValueError, match=rf"^IoU threshold {thresh} is not finite$"):
+            nms([a, b], thresh)
 
     def test_empty_and_idempotent(self):
         assert nms([], 0.5) == []
